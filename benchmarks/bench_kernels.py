@@ -2,11 +2,11 @@
 
 The batched estimator spends nearly all of its time counting threshold
 comparisons over the raw 64-bit draw sequence, so this is the one loop
-worth compiling.  Run as a script:
+worth making fast.  Run as a script:
 
     python benchmarks/bench_kernels.py --trials 1000000 --repeats 5
 
-Both engines consume identical draw sequences, so their counts must
+Every engine consumes the same draw sequence, so their counts must
 agree exactly; the benchmark asserts that before reporting timings.
 """
 

@@ -1,9 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled trial counting loop.
 
-Bit-for-bit identical to _trials_py.count_thresholds; the constants are
-the splitmix64 mixing constants used in rng.py.  All arithmetic is
-modulo 2^64 by virtue of the uint64_t type.
+Counts are bit-for-bit identical to _trials_py.count_thresholds, which
+evaluates the same draws thousands at a time in the lanes of one big
+integer; this loop takes them one per turn.  The constants are the
+splitmix64 mixing constants used in rng.py.  All arithmetic is modulo
+2^64 by virtue of the uint64_t type.
 """
 
 from libc.stdint cimport uint64_t

@@ -103,14 +103,6 @@ class PrefixFunction:
             self._cache[n] = v
         return v
 
-    def check_prefix_property(self, up_to: int) -> None:
-        prev = self(0)
-        for n in range(1, up_to + 1):
-            cur = self(n)
-            if not cur.startswith(prev):
-                raise ValueError(f"f({n}) does not extend f({n - 1})")
-            prev = cur
-
     @classmethod
     def from_table(cls, pairs, a=None, b=None, binarize: Optional[bool] = None,
                    descriptor: str = "table") -> "PrefixFunction":

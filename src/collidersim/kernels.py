@@ -4,9 +4,12 @@ A batch of zeta repeated queries only needs three counts (lesser,
 greater, timeout), and with zero jitter and an exactly-known rational
 target the per-trial decision reduces to comparing the raw 64-bit mass
 draw against two integer thresholds.  The thresholds are computed here
-once, exactly, with Fraction arithmetic; the per-trial loop then runs
-in pure integer comparisons, either in the optional compiled extension
-or in a pure-Python fallback with identical semantics.
+once, exactly, with Fraction arithmetic; the counting then runs in
+pure integer arithmetic, either in the optional compiled extension
+(_trials.pyx, one trial per loop turn) or in the pure-Python kernel
+(_trials_py.py), which packs thousands of trials into the lanes of one
+big integer and counts them with a handful of whole-int operations.
+Both give bit-for-bit identical counts.
 
 Threshold derivation: the realized mass is m* = z - eps + 2*eps*r/2^64
 for a raw draw r in [0, 2^64).  An answer requires a strictly early
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:  # compiled loop, built by setup.py when a C toolchain is present
+try:  # compiled loop, built by setup.py when Cython and a C toolchain are present
     from . import _trials as _impl
     _ENGINE = "thresholds-c"
 except ImportError:  # pragma: no cover - depends on build environment

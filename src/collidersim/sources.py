@@ -17,7 +17,6 @@ too small, never from a floating-point shortcut.
 from __future__ import annotations
 
 import bisect
-import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,7 +42,6 @@ class RunLengths:
         self._u_func = u_func
         self._u: list[int] = []
         self._a: list[int] = []
-        self._lock = threading.Lock()
         self.descriptor = descriptor
 
     @classmethod
@@ -85,17 +83,16 @@ class RunLengths:
         return self._a[k - 1]
 
     def _extend(self, k: int) -> None:
-        with self._lock:
-            while len(self._u) < k:
-                i = len(self._u) + 1
-                u = int(self._u_func(i))
-                if i == 1:
-                    if u < 0:
-                        raise ValueError("u_1 must be >= 0")
-                elif u < 1:
-                    raise ValueError(f"u_{i} must be >= 1, got {u}")
-                self._u.append(u)
-                self._a.append((self._a[-1] if self._a else 0) + u)
+        while len(self._u) < k:
+            i = len(self._u) + 1
+            u = int(self._u_func(i))
+            if i == 1:
+                if u < 0:
+                    raise ValueError("u_1 must be >= 0")
+            elif u < 1:
+                raise ValueError(f"u_{i} must be >= 1, got {u}")
+            self._u.append(u)
+            self._a.append((self._a[-1] if self._a else 0) + u)
 
     def blocks_covering(self, depth: int) -> int:
         """Smallest k with a_k >= depth."""
@@ -122,7 +119,6 @@ class MassSource:
         self.run_lengths = run_lengths
         self._bits: list[int] = []
         self._prefix = 0
-        self._lock = threading.Lock()
 
     def _digit(self, n: int) -> int:
         raise NotImplementedError
@@ -143,13 +139,12 @@ class MassSource:
         return self._prefix >> (len(self._bits) - depth)
 
     def _materialize(self, depth: int) -> None:
-        with self._lock:
-            while len(self._bits) < depth:
-                b = int(self._digit(len(self._bits) + 1))
-                if b not in (0, 1):
-                    raise ValueError(f"digit stream produced {b!r}")
-                self._bits.append(b)
-                self._prefix = (self._prefix << 1) | b
+        while len(self._bits) < depth:
+            b = int(self._digit(len(self._bits) + 1))
+            if b not in (0, 1):
+                raise ValueError(f"digit stream produced {b!r}")
+            self._bits.append(b)
+            self._prefix = (self._prefix << 1) | b
 
     def interval(self, depth: int) -> tuple[Fraction, Fraction]:
         """Half-open [lo, hi) of width 2**-depth containing the value."""

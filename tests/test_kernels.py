@@ -1,9 +1,17 @@
 import random
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from collidersim import kernels, rng
+from collidersim import _trials_py, kernels, rng
+
+W = _trials_py._LANES
+TOP = (1 << 64) - 1
 
 
 def brute_force(seed, stream, zeta, z, epsilon, mu, eta):
@@ -104,3 +112,36 @@ class TestEngines:
         want_great = sum(1 for k in range(500)
                          if rng.raw64(99, 3, 2 * k) > r_hi1)
         assert (n_less, n_great) == (want_less, want_great)
+
+    # zeta straddles the lane-block edges of the packed kernel; the
+    # thresholds take the extreme words, and r_lo > r_hi1 + 1 leaves draws
+    # that are both below r_lo and above r_hi1, which count as lesser only
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, TOP), stream=st.integers(0, 1 << 20),
+           zeta=st.sampled_from([1, W - 1, W, W + 1, 2 * W + 3])
+           | st.integers(0, 3 * W),
+           r_lo=st.sampled_from([0, 1, 1 << 63, TOP]) | st.integers(0, TOP),
+           r_hi1=st.sampled_from([0, TOP]) | st.integers(0, TOP))
+    @example(seed=99, stream=3, zeta=500, r_lo=1 << 63, r_hi1=(1 << 63) + (1 << 60))
+    @example(seed=5, stream=0, zeta=2 * W + 3, r_lo=3 << 62, r_hi1=1 << 62)
+    @example(seed=5, stream=1, zeta=W + 1, r_lo=TOP, r_hi1=0)
+    @example(seed=TOP, stream=0, zeta=W - 1, r_lo=0, r_hi1=TOP)
+    def test_engines_match_raw64_recount(self, seed, stream, zeta, r_lo, r_hi1):
+        n_less = n_great = 0
+        for k in range(zeta):
+            r = rng.raw64(seed, stream, 2 * k)
+            if r < r_lo:
+                n_less += 1
+            elif r > r_hi1:
+                n_great += 1
+        for name, count in kernels.engines().items():
+            assert count(seed, stream, zeta, r_lo, r_hi1) == (n_less, n_great), name
+
+    def test_bench_kernels_script_runs(self, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--trials", "20000",
+                                          "--repeats", "1"])
+        runpy.run_path(str(script), run_name="__main__")
+        out = capsys.readouterr().out
+        for name in kernels.engines():
+            assert name in out
