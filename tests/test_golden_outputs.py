@@ -1,0 +1,114 @@
+"""Frozen result bytes of a fixed set of CLI runs.
+
+Each case runs `cli.main` in-process with `--out` and compares the sha256
+of every file the run wrote against digests recorded before the L1-L2
+refactor that merged the bracket-deepening loops, the timing law and the
+numeric helpers.  Any change to a transcript, report, estimate, advice
+payload or manifest byte shows up here.  The runs are relative to a
+temporary working directory so no absolute path reaches a result file.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from collidersim.cli import main
+
+PATTERN_BISECTION = ["measure", "--mass", "pattern:3,2,4", "--digits", "120",
+                     "--schedule", "exp:k=6", "--seed", "7"]
+
+CASES = {
+    "bisection-interrupt": PATTERN_BISECTION,
+    "bisection-kinematic": PATTERN_BISECTION + ["--timing", "kinematic",
+                                                "--N", "1/16"],
+    "bisection-arbitrary-full": PATTERN_BISECTION + ["--mode", "arbitrary",
+                                                     "--wait", "full"],
+    # an exactly-known target takes the closed-form arrival path
+    "bisection-rational-kinematic": ["measure", "--mass", "rational:5/7",
+                                     "--digits", "30", "--schedule", "exp:k=3",
+                                     "--timing", "kinematic", "--seed", "1"],
+    "grid": ["measure", "--mass", "pattern:3,2,4", "--procedure", "grid",
+             "--level", "5", "--wait", "full", "--seed", "0"],
+    # an embedded pattern parameter has no exact value, so the estimator
+    # runs the per-trial engine and its bytes do not depend on the build
+    "estimate": ["estimate", "--mass", "pattern:2,1,3", "--k", "1",
+                 "--delta", "3/4", "--epsilon", "1/8", "--seed", "3"],
+    "advice": ["advice", "--table", "table.tsv", "--digits", "200",
+               "--word-length", "3"],
+}
+
+GOLDEN = {
+    "advice": {
+        "advice.json":
+            "693eca3717f9ce0ead45318f0a68a5527040ec736237cd2e98cee5202f894196",
+        "manifest.json":
+            "4bf4fa6b5f39cc201e96762028e27c051b087590af0eece012c9d27607279441",
+    },
+    "bisection-arbitrary-full": {
+        "manifest.json":
+            "5d1f4ff7476cd1a80577dc7fb59ef13e7dc7bd3bcf3fba519db727e5199eceec",
+        "report.json":
+            "5e8ab4e1c153e1765866938ff2d4477ceb84209d5406d5da01215277100c2704",
+        "transcript.jsonl":
+            "0db06510d4559444a57e4ce3bf095cd1175736a03fb115eb789318f42ffa36b2",
+    },
+    "bisection-interrupt": {
+        "manifest.json":
+            "06de3c8d7b39a56537f1ab6f4f687abc4d6d4e8637b5802ba3552d1afca9d1cb",
+        "report.json":
+            "432619db0afc1fbec2564e0dc2426edd8ce461de78e8870bd14aacb2b1fec970",
+        "transcript.jsonl":
+            "297836d7b87a1c67b0ce5f1221038735fbac1981dbe0f39bf33a579c7708ee1f",
+    },
+    "bisection-kinematic": {
+        "manifest.json":
+            "deb25d0883a2f554b1c3f6cf326680721173b36c57b32d85432b2a3de09be42e",
+        "report.json":
+            "22bd9ce616f72f73ab0c307eb95adb642a975ad62c34887452991dc5f390474e",
+        "transcript.jsonl":
+            "6aa921992f81ed06f6436d12f34ce360b801014a3a6c0f0359da6056565e2ffd",
+    },
+    "bisection-rational-kinematic": {
+        "manifest.json":
+            "b5853621bf806522b54b67731060811d07f78b76daaa319e3c04a691b96a39be",
+        "report.json":
+            "663dedd246269f143b0ed21c09581cbff810f1317616d0b176b7e09c2a4b103b",
+        "transcript.jsonl":
+            "4ffb637a47e437abac49b235af466dfd3106cc907d51d9e7c993ba8240e6ec7c",
+    },
+    "estimate": {
+        "estimate.json":
+            "866d48578a0f59441e585944780addca2f25549f6596e57cd6739c114438825a",
+        "manifest.json":
+            "809dd32149ae2305551e90a98b615c99b6df2225b662ea62c9687ddf156c4743",
+        "transcript.jsonl":
+            "2c21f92912e9126fc6277434f8267571bf64de689b8e84e5baaad0e9889db0de",
+    },
+    "grid": {
+        "manifest.json":
+            "dbd9cda532c179b30997369d79dc4be29adf80951e706e73f84bd45f30cd645d",
+        "report.json":
+            "5269bafefa07111efa96c281877d8932a5ca959ccce635e3799a41a955867e31",
+        "transcript.jsonl":
+            "642e98abf45cf66bb8248b6b34ae8671bbac0a9fb8a0639c07e02177f6bc96db",
+    },
+}
+
+
+def _run(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.tsv").write_text(
+        "# alphabet=binary\n0\t\n1\t1\n2\t10\n4\t101\n", encoding="utf-8")
+    main(CASES[name] + ["--out", "out"])
+    capsys.readouterr()
+    digests = {}
+    for fname in sorted(os.listdir(tmp_path / "out")):
+        data = (tmp_path / "out" / fname).read_bytes()
+        digests[fname] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_bytes(name, tmp_path, monkeypatch, capsys):
+    assert _run(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]
