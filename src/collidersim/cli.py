@@ -21,10 +21,10 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .advice import PrefixFunction, decode_advice, encoded_mass, read_bound
+from .dyadic import fraction_text
 from .harness import embed_parameter, estimate_digits
 from .oracle import (CollisionOracle, ConfigError, OracleConfig, PrecisionMode,
                      TimeoutExceeded, TimeoutReaction, WaitPolicy)
@@ -44,10 +44,6 @@ _MODES = {
 }
 _WAITS = {"interrupt": WaitPolicy.INTERRUPT, "full": WaitPolicy.FULL_BUDGET}
 _REACTIONS = {"return": TimeoutReaction.RETURN, "abort": TimeoutReaction.ABORT}
-
-
-def _fmt(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def _load_config_file(path: str) -> dict:
@@ -93,16 +89,16 @@ def _resolve_config(args) -> OracleConfig:
 
 def _config_dict(cfg: OracleConfig) -> dict:
     return {
-        "K": _fmt(cfg.K),
-        "N": _fmt(cfg.N),
-        "u": _fmt(cfg.launch_speed),
-        "r": _fmt(cfg.flag_distance),
+        "K": fraction_text(cfg.K),
+        "N": fraction_text(cfg.N),
+        "u": fraction_text(cfg.launch_speed),
+        "r": fraction_text(cfg.flag_distance),
         "mode": cfg.mode.value,
-        "epsilon": _fmt(cfg.epsilon) if cfg.epsilon is not None else None,
+        "epsilon": fraction_text(cfg.epsilon) if cfg.epsilon is not None else None,
         "seed": cfg.seed,
         "wait_policy": cfg.wait_policy.value,
         "timeout_reaction": cfg.timeout_reaction.value,
-        "c_setup": _fmt(cfg.c_setup),
+        "c_setup": fraction_text(cfg.c_setup),
         "timing": cfg.timing,
     }
 
@@ -158,8 +154,8 @@ def cmd_measure(args) -> int:
     print(f"status: {report.status()}")
     if report.digits:
         print(f"digits: {report.digits}")
-    print(f"waiting time: {_fmt(report.total_time)}")
-    print(f"setup time: {_fmt(report.total_setup)}")
+    print(f"waiting time: {fraction_text(report.total_time)}")
+    print(f"setup time: {fraction_text(report.total_setup)}")
     return EXIT_OK if report.complete else EXIT_TIMEOUT
 
 
@@ -186,7 +182,7 @@ def cmd_estimate(args) -> int:
                                   "transcript.jsonl": _transcript_jsonl(oracle)},
                        parameters)
     print(f"digits: {est.digits}")
-    print(f"s_hat: {_fmt(est.s_hat)}")
+    print(f"s_hat: {fraction_text(est.s_hat)}")
     print(f"counts: lesser={est.n_lesser} greater={est.n_greater} "
           f"timeout={est.n_timeout} (zeta={est.zeta}, engine={est.engine})")
     return EXIT_OK

@@ -19,7 +19,7 @@ import enum
 import math
 from fractions import Fraction
 
-from .dyadic import Dyadic
+from .dyadic import to_fraction
 
 
 class Outcome(enum.Enum):
@@ -34,19 +34,13 @@ class Outcome(enum.Enum):
         return self.value
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Dyadic):
-        return x.as_fraction()
-    return Fraction(x)
-
-
 def post_collision_velocities(m, mu, u=1) -> tuple[Fraction, Fraction]:
     """Velocities (projectile, target) after the elastic collision.
 
     A zero-mass projectile is admitted as the limiting case: it reflects
     at full speed and leaves the target untouched.
     """
-    m, mu, u = _frac(m), _frac(mu), _frac(u)
+    m, mu, u = to_fraction(m), to_fraction(mu), to_fraction(u)
     if m < 0 or mu < 0:
         raise ValueError("masses must be nonnegative")
     s = m + mu
@@ -56,12 +50,12 @@ def post_collision_velocities(m, mu, u=1) -> tuple[Fraction, Fraction]:
 
 
 def momentum(m, v) -> Fraction:
-    return _frac(m) * _frac(v)
+    return to_fraction(m) * to_fraction(v)
 
 
 def kinetic_energy(m, v) -> Fraction:
-    v = _frac(v)
-    return _frac(m) * v * v / 2
+    v = to_fraction(v)
+    return to_fraction(m) * v * v / 2
 
 
 def experiment_time(m, mu, u=1, r=1):
@@ -72,7 +66,7 @@ def experiment_time(m, mu, u=1, r=1):
     |m - mu| / (m + mu) * u.  Equal masses freeze both particles' useful
     motion relative to the flags, so the answer is +infinity.
     """
-    m, mu, u, r = _frac(m), _frac(mu), _frac(u), _frac(r)
+    m, mu, u, r = to_fraction(m), to_fraction(mu), to_fraction(u), to_fraction(r)
     if m < 0 or mu < 0:
         raise ValueError("masses must be nonnegative")
     if u <= 0 or r <= 0:
@@ -90,7 +84,7 @@ def time_gap_product(m, mu, u=1, r=1) -> Fraction:
     experiment is tuned, because this product cannot be reduced below
     (m + mu) r / u.
     """
-    m, mu, u, r = _frac(m), _frac(mu), _frac(u), _frac(r)
+    m, mu, u, r = to_fraction(m), to_fraction(mu), to_fraction(u), to_fraction(r)
     return (m + mu) * r / u
 
 
@@ -101,8 +95,8 @@ def time_bounds(gap, u=1, r=1, mass_low=0, mass_high=1) -> tuple[Fraction, Fract
     pinned between max(gap, 2*mass_low) and 2*mass_high, so the time
     lands in [A/gap, B/gap] with A, B depending only on the apparatus.
     """
-    gap, u, r = _frac(gap), _frac(u), _frac(r)
-    lo, hi = _frac(mass_low), _frac(mass_high)
+    gap, u, r = to_fraction(gap), to_fraction(u), to_fraction(r)
+    lo, hi = to_fraction(mass_low), to_fraction(mass_high)
     if gap <= 0:
         raise ValueError("gap must be positive")
     if not 0 <= lo < hi:
@@ -114,7 +108,7 @@ def time_bounds(gap, u=1, r=1, mass_low=0, mass_high=1) -> tuple[Fraction, Fract
 
 def classify_outcome(m, mu) -> Outcome:
     """Idealized unlimited-time verdict for exact masses."""
-    m, mu = _frac(m), _frac(mu)
+    m, mu = to_fraction(m), to_fraction(mu)
     if m < mu:
         return Outcome.LESSER
     if m > mu:
@@ -130,7 +124,7 @@ def classify_source_outcome(m, src, depth_budget: int) -> Outcome:
     cannot tell those situations apart either.
     """
     from .sources import gap_probe
-    probe = gap_probe(src, _frac(m), depth_budget)
+    probe = gap_probe(src, to_fraction(m), depth_budget)
     if not probe.proven:
         return Outcome.NO_RESULT
     return Outcome.LESSER if probe.side < 0 else Outcome.GREATER
@@ -143,7 +137,7 @@ def uncertainty_product(m, mu, u=1, r=1) -> Fraction:
     product keeps the identity an observable fact rather than a
     definition.
     """
-    m, mu = _frac(m), _frac(mu)
+    m, mu = to_fraction(m), to_fraction(mu)
     if m == mu:
         raise ValueError("equal masses have no finite experiment time")
     return abs(m - mu) * experiment_time(m, mu, u=u, r=r)

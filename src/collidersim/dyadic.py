@@ -155,6 +155,24 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
+def to_fraction(value: RationalLike) -> Fraction:
+    """Any exact rational (int, Fraction, Dyadic, decimal text) as a Fraction."""
+    if isinstance(value, Dyadic):
+        return value.as_fraction()
+    return Fraction(value)
+
+
+def fraction_text(value: RationalLike) -> str:
+    """Text of an exact rational in result files: "p/q", or "p" for an integer."""
+    f = to_fraction(value)
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
+def bits_above(x) -> int:
+    """Least t >= 0 with 2**t > x, i.e. the bit length of floor(x)."""
+    return max(x.numerator // x.denominator, 0).bit_length()
+
+
 def midpoint(a: Dyadic, b: Dyadic) -> Dyadic:
     """Exact midpoint; the workhorse of interval bisection."""
     return (a + b).half()

@@ -30,8 +30,9 @@ from typing import Optional
 
 from . import rng
 from .collision import Outcome
-from .dyadic import Dyadic, word_to_dyadic, validate_word
-from .sources import MassSource, distance_bracket
+from .dyadic import (bits_above, fraction_text, to_fraction, validate_word,
+                     word_to_dyadic)
+from .sources import MassSource, distance_bracket, refine
 
 
 class PrecisionMode(enum.Enum):
@@ -69,12 +70,6 @@ class TimeoutExceeded(RuntimeError):
     def __init__(self, record):
         super().__init__(f"query {record.index} ({record.word!r}) timed out")
         self.record = record
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Dyadic):
-        return x.as_fraction()
-    return Fraction(x)
 
 
 @dataclass
@@ -117,13 +112,13 @@ class OracleConfig:
     record_hidden: bool = False
 
     def __post_init__(self):
-        self.K = _frac(self.K)
-        self.N = _frac(self.N)
-        self.c_setup = _frac(self.c_setup)
-        self.launch_speed = _frac(self.launch_speed)
-        self.flag_distance = _frac(self.flag_distance)
+        self.K = to_fraction(self.K)
+        self.N = to_fraction(self.N)
+        self.c_setup = to_fraction(self.c_setup)
+        self.launch_speed = to_fraction(self.launch_speed)
+        self.flag_distance = to_fraction(self.flag_distance)
         if self.epsilon is not None:
-            self.epsilon = _frac(self.epsilon)
+            self.epsilon = to_fraction(self.epsilon)
         if self.K <= 0:
             raise ConfigError("K must be positive")
         if self.N < 0:
@@ -139,11 +134,6 @@ class OracleConfig:
                 raise ConfigError("FIXED mode needs a positive epsilon")
         if self.probe_depth_cap < 8:
             raise ConfigError("probe_depth_cap must be >= 8")
-
-
-def _fmt(x) -> str:
-    f = _frac(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 @dataclass
@@ -172,13 +162,13 @@ class QueryRecord:
             "index": self.index,
             "z": self.word,
             "z_length": self.z_length,
-            "budget": _fmt(self.budget),
+            "budget": fraction_text(self.budget),
             "answer": str(self.outcome),
-            "elapsed": _fmt(self.elapsed),
-            "setup": _fmt(self.setup),
+            "elapsed": fraction_text(self.elapsed),
+            "setup": fraction_text(self.setup),
         }
         if self.epsilon is not None:
-            d["epsilon"] = _fmt(self.epsilon)
+            d["epsilon"] = fraction_text(self.epsilon)
         return d
 
 
@@ -209,16 +199,16 @@ class BatchRecord:
             "index": self.index,
             "z": self.word,
             "z_length": self.z_length,
-            "budget": _fmt(self.budget),
+            "budget": fraction_text(self.budget),
             "zeta": self.zeta,
             "answer": {
                 "lesser": self.n_lesser,
                 "greater": self.n_greater,
                 "timeout": self.n_timeout,
             },
-            "elapsed": _fmt(self.elapsed_total),
-            "setup": _fmt(self.setup_total),
-            "epsilon": _fmt(self.epsilon) if self.epsilon is not None else None,
+            "elapsed": fraction_text(self.elapsed_total),
+            "setup": fraction_text(self.setup_total),
+            "epsilon": fraction_text(self.epsilon) if self.epsilon is not None else None,
             "engine": self.engine,
         }
 
@@ -266,22 +256,7 @@ class CollisionOracle:
         before raising, so aborted transcripts stay complete.
         """
         cfg = self.config
-        validate_word(word)
-        z = word_to_dyadic(word).as_fraction()
-        budget = _frac(budget)
-        if budget <= 0:
-            raise ConfigError("budget must be positive")
-        if cfg.mode is PrecisionMode.FIXED:
-            if epsilon is not None and _frac(epsilon) != cfg.epsilon:
-                raise ConfigError("FIXED mode pins every query to the global epsilon")
-            epsilon = cfg.epsilon
-        elif epsilon is not None:
-            epsilon = _frac(epsilon)
-            if epsilon <= 0:
-                raise ConfigError("epsilon must be positive")
-        if cfg.mode is PrecisionMode.ARBITRARY and epsilon is None:
-            raise ConfigError("ARBITRARY mode needs a per-query epsilon")
-
+        z, budget, epsilon = self._resolve(word, budget, epsilon)
         index = len(self.transcript)
         m_star = self._draw_mass(z, epsilon, index)
         jitter = self._draw_jitter(index)
@@ -294,15 +269,14 @@ class CollisionOracle:
             elapsed = arrival
         setup = cfg.c_setup * len(word)
 
-        if cfg.mode is PrecisionMode.ERROR_FREE:
+        if epsilon is None:
             interval = (z, z)
         else:
             interval = (max(Fraction(0), z - epsilon), min(Fraction(1), z + epsilon))
         record = QueryRecord(
             index=index, word=word, z=z, z_length=len(word), budget=budget,
             outcome=outcome, elapsed=elapsed, setup=setup,
-            epsilon=epsilon if cfg.mode is not PrecisionMode.ERROR_FREE else None,
-            probe_depth=depth, mass_interval=interval,
+            epsilon=epsilon, probe_depth=depth, mass_interval=interval,
         )
         if cfg.record_hidden:
             record.hidden["m_star"] = m_star
@@ -311,6 +285,33 @@ class CollisionOracle:
         if outcome is Outcome.TIMEOUT and cfg.timeout_reaction is TimeoutReaction.ABORT:
             raise TimeoutExceeded(record)
         return record
+
+    def _resolve(self, word: str, budget, epsilon):
+        """Checked (z, budget, epsilon) of a query, shared by both query kinds.
+
+        The returned epsilon is the tolerance the draws use: the global one
+        in FIXED mode, the per-query one in ARBITRARY mode, and None for
+        exactly manufactured masses.
+        """
+        cfg = self.config
+        validate_word(word)
+        z = word_to_dyadic(word).as_fraction()
+        budget = to_fraction(budget)
+        if budget <= 0:
+            raise ConfigError("budget must be positive")
+        if cfg.mode is PrecisionMode.FIXED:
+            if epsilon is not None and to_fraction(epsilon) != cfg.epsilon:
+                raise ConfigError("FIXED mode pins every query to the global epsilon")
+            epsilon = cfg.epsilon
+        elif epsilon is not None:
+            epsilon = to_fraction(epsilon)
+            if epsilon <= 0:
+                raise ConfigError("epsilon must be positive")
+        if cfg.mode is PrecisionMode.ARBITRARY and epsilon is None:
+            raise ConfigError("ARBITRARY mode needs a per-query epsilon")
+        if cfg.mode is PrecisionMode.ERROR_FREE:
+            return z, budget, None
+        return z, budget, epsilon
 
     # -- decision core ------------------------------------------------------
 
@@ -324,7 +325,6 @@ class CollisionOracle:
         it is the reason equality never has to be decided from an
         infinite digit tail.
         """
-        cfg = self.config
         deadline = budget - jitter
         if deadline <= 0:
             return Outcome.TIMEOUT, None, None
@@ -334,52 +334,54 @@ class CollisionOracle:
             gap = abs(m_star - exact)
             if gap == 0:
                 return Outcome.TIMEOUT, None, None
-            t = self._arrival(m_star, exact, gap)
+            t = self._law(m_star, exact) / gap
             if t + jitter < budget:
                 side = Outcome.LESSER if m_star < exact else Outcome.GREATER
                 return side, t + jitter, None
             return Outcome.TIMEOUT, None, None
 
-        return self._decide_probed(m_star, jitter, budget, deadline, need_arrival)
+        return self._decide_probed(m_star, jitter, deadline, need_arrival)
 
-    def _arrival(self, m_star: Fraction, mu: Fraction, gap: Fraction) -> Fraction:
+    def _law(self, m_star: Fraction, mu) -> Fraction:
+        """Arrival time times |m* - mu|: K under protocol timing, and
+        (r/u) * (m* + mu) under kinematic timing, which alone reads mu."""
         cfg = self.config
         if cfg.timing == "protocol":
-            return cfg.K / gap
-        return (cfg.flag_distance / cfg.launch_speed) * (m_star + mu) / gap
+            return cfg.K
+        return cfg.flag_distance / cfg.launch_speed * (m_star + mu)
 
-    def _decide_probed(self, m_star, jitter, budget, deadline, need_arrival=True):
-        cfg = self.config
-        protocol = cfg.timing == "protocol"
-        c = cfg.flag_distance / cfg.launch_speed
-        if protocol:
-            g_star = cfg.K / deadline
-            start = max(8, _inv_bits(g_star) + 2)
-        else:
-            # smallest conceivable gap that still answers, from arrival >= c*m*/gap
-            g_floor = c * m_star / deadline
-            start = max(8, _inv_bits(g_floor) + 2) if g_floor > 0 else 8
-        depth = min(start, cfg.probe_depth_cap)
-        while True:
-            a, b, side = distance_bracket(self.source, m_star, depth)
-            if protocol:
-                if side != 0 and a > g_star:
-                    arrival = self._reported_arrival(m_star, depth, jitter) if need_arrival else None
-                    return (Outcome.LESSER if side < 0 else Outcome.GREATER,
-                            arrival, depth)
-                if b <= g_star:
-                    return Outcome.TIMEOUT, None, depth
-            else:
-                lo, hi = self.source.interval(depth)
-                if side != 0 and a > 0 and c * (m_star + hi) / a + jitter < budget:
-                    arrival = self._reported_arrival(m_star, depth, jitter) if need_arrival else None
-                    return (Outcome.LESSER if side < 0 else Outcome.GREATER,
-                            arrival, depth)
-                if b > 0 and c * (m_star + lo) / b + jitter >= budget:
-                    return Outcome.TIMEOUT, None, depth
-            if depth >= cfg.probe_depth_cap:
-                return Outcome.TIMEOUT, None, depth
-            depth = min(depth * 2, cfg.probe_depth_cap)
+    def _arrival_bounds(self, m_star: Fraction, depth: int):
+        """(side, earliest, latest) arrival certified by a depth-d prefix.
+
+        side is the sign of m* - mu once the prefix separates them, else 0;
+        latest is None until the certified gap is positive.
+        """
+        a, b, side = distance_bracket(self.source, m_star, depth)
+        lo = hi = None
+        if self.config.timing != "protocol":
+            lo, hi = self.source.interval(depth)
+        latest = self._law(m_star, hi) / a if side != 0 and a > 0 else None
+        return side, self._law(m_star, lo) / b, latest
+
+    def _decide_probed(self, m_star, jitter, deadline, need_arrival=True):
+        # digits enough to see the smallest gap that could still answer,
+        # from arrival >= law(m*, 0) / gap
+        floor_law = self._law(m_star, 0)
+        start = max(8, bits_above(deadline / floor_law) + 2) if floor_law else 8
+
+        def settle(depth: int):
+            side, earliest, latest = self._arrival_bounds(m_star, depth)
+            if latest is not None and latest < deadline:
+                return Outcome.LESSER if side < 0 else Outcome.GREATER
+            if earliest >= deadline:
+                return Outcome.TIMEOUT
+            return None
+
+        outcome, depth = refine(start, self.config.probe_depth_cap, settle)
+        if outcome is None or outcome is Outcome.TIMEOUT:
+            return Outcome.TIMEOUT, None, depth
+        arrival = self._reported_arrival(m_star, depth, jitter) if need_arrival else None
+        return outcome, arrival, depth
 
     _CLOCK_BITS = 48
 
@@ -390,26 +392,24 @@ class CollisionOracle:
         is certified to 2**-48: the enclosure from deeper digit reads is
         narrowed until it fits inside one clock tick, then snapped to
         the tick grid.  Deterministic, so replays reproduce it exactly.
+        The digit horizon is the first doubling of depth_hint that
+        reaches four times the probe cap.
         """
-        cfg = self.config
         tick = Fraction(1, 1 << self._CLOCK_BITS)
-        depth = depth_hint
-        while True:
-            a, b, side = distance_bracket(self.source, m_star, depth)
-            if side != 0 and a > 0:
-                lo, hi = self.source.interval(depth)
-                if cfg.timing == "protocol":
-                    t_lo, t_hi = cfg.K / b, cfg.K / a
-                else:
-                    c = cfg.flag_distance / cfg.launch_speed
-                    t_lo = c * (m_star + lo) / b
-                    t_hi = c * (m_star + hi) / a
-                if t_hi - t_lo < tick:
-                    ticks = (t_lo.numerator << self._CLOCK_BITS) // t_lo.denominator
-                    return Fraction(ticks, 1 << self._CLOCK_BITS) + jitter
-            if depth >= cfg.probe_depth_cap * 4:
-                raise RuntimeError("clock certification exceeded its digit horizon")
-            depth *= 2
+
+        def settle(depth: int):
+            _, earliest, latest = self._arrival_bounds(m_star, depth)
+            if latest is not None and latest - earliest < tick:
+                ticks = (earliest.numerator << self._CLOCK_BITS) // earliest.denominator
+                return Fraction(ticks, 1 << self._CLOCK_BITS) + jitter
+            return None
+
+        horizon = 4 * self.config.probe_depth_cap
+        cap = depth_hint << ((horizon - 1) // depth_hint).bit_length()
+        arrival, _ = refine(depth_hint, cap, settle)
+        if arrival is None:
+            raise RuntimeError("clock certification exceeded its digit horizon")
+        return arrival
 
     # -- batched queries ------------------------------------------------------
 
@@ -422,24 +422,11 @@ class CollisionOracle:
         the trials one-by-one through the certified decision path.
         """
         cfg = self.config
-        validate_word(word)
         if zeta < 1:
             raise ConfigError("zeta must be >= 1")
         if cfg.wait_policy is not WaitPolicy.FULL_BUDGET:
             raise ConfigError("batched queries require WaitPolicy.FULL_BUDGET")
-        z = word_to_dyadic(word).as_fraction()
-        budget = _frac(budget)
-        if budget <= 0:
-            raise ConfigError("budget must be positive")
-        if cfg.mode is PrecisionMode.FIXED:
-            epsilon = cfg.epsilon
-        elif cfg.mode is PrecisionMode.ARBITRARY:
-            if epsilon is None:
-                raise ConfigError("ARBITRARY mode needs a per-query epsilon")
-            epsilon = _frac(epsilon)
-        else:
-            epsilon = None
-
+        z, budget, epsilon = self._resolve(word, budget, epsilon)
         index = len(self.transcript)
         exact = self.source.exact_value
         usable_kernel = (
@@ -490,14 +477,6 @@ class CollisionOracle:
         self.transcript.clear()
 
 
-def _inv_bits(x: Fraction) -> int:
-    """Smallest d >= 1 with 2**-d <= x, i.e. enough digits to see gaps of size x."""
-    if x <= 0:
-        raise ValueError("positive value required")
-    inv = 1 / x
-    return max(1, (inv.numerator // inv.denominator).bit_length())
-
-
 def timeout_window(config: OracleConfig, budget) -> Fraction:
     """Half-width of the mass window around the target that can time out.
 
@@ -506,7 +485,7 @@ def timeout_window(config: OracleConfig, budget) -> Fraction:
     the window is symmetric because the arrival law sees only |m* - target|.
     With N = 0 this is the exact timeout half-width.
     """
-    budget = _frac(budget)
+    budget = to_fraction(budget)
     if budget <= config.N:
         raise ConfigError("budget must exceed the jitter bound")
     return config.K / (budget - config.N)

@@ -11,21 +11,17 @@ be checked against transcripts rather than against formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .collision import Outcome
-from .dyadic import Dyadic, ZERO, ONE, midpoint, dyadic_to_word
+from .dyadic import (Dyadic, ZERO, ONE, dyadic_to_word, fraction_text,
+                     midpoint, to_fraction)
 from .oracle import (CollisionOracle, ConfigError, PrecisionMode,
                      TimeoutExceeded, WaitPolicy)
-from .sources import MassSource, RunLengths, diagonal_run_lengths, from_run_lengths
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Dyadic):
-        return x.as_fraction()
-    return Fraction(x)
+from .sources import (MassSource, RunLengths, diagonal_run_lengths,
+                      from_run_lengths, run_length_blocks)
 
 
 class Schedule:
@@ -45,13 +41,13 @@ class Schedule:
     def __call__(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("schedules are defined for word lengths >= 1")
-        value = _frac(self._fn(n))
+        value = to_fraction(self._fn(n))
         if value <= 0:
             raise ValueError(f"schedule {self.descriptor} gave budget {value} at n={n}")
         return value
 
     def scaled(self, factor) -> "Schedule":
-        factor = _frac(factor)
+        factor = to_fraction(factor)
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         return Schedule(lambda n: factor * self._fn(n),
@@ -63,7 +59,7 @@ class Schedule:
 
 def schedule_exponential(K, shift: int = 0) -> Schedule:
     """T(n) = K * 2**(n + shift)."""
-    Kf = _frac(K)
+    Kf = to_fraction(K)
     return Schedule(lambda n: Kf * (1 << (n + shift)),
                     f"exponential:shift={shift}", time_constructible=True)
 
@@ -74,7 +70,7 @@ def schedule_algebraic(order: int, alpha) -> Schedule:
     dyadics shrinks no faster than a constant over 2**(order*n)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    a = _frac(alpha)
+    a = to_fraction(alpha)
     if a <= 0:
         raise ValueError("alpha must be positive")
     return Schedule(lambda n: a * n * (1 << (order * n)),
@@ -82,12 +78,12 @@ def schedule_algebraic(order: int, alpha) -> Schedule:
 
 
 def schedule_constant(value) -> Schedule:
-    v = _frac(value)
+    v = to_fraction(value)
     return Schedule(lambda n: v, f"constant:{v}", time_constructible=True)
 
 
 def schedule_tabular(values: Sequence, extend_last: bool = True) -> Schedule:
-    vals = [_frac(v) for v in values]
+    vals = [to_fraction(v) for v in values]
     if not vals:
         raise ValueError("empty budget table")
 
@@ -117,7 +113,7 @@ def sufficient_for_rational(K, q: int) -> Schedule:
     """Schedule measuring any p/q: stage-i gaps are at least 1/(q*2^i)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    Kf = _frac(K)
+    Kf = to_fraction(K)
     return Schedule(lambda n: Kf * q * (1 << n),
                     f"rational-sufficient:q={q}", time_constructible=True)
 
@@ -127,9 +123,9 @@ def builtin_schedules(K) -> dict:
     return {
         "exp+0": schedule_exponential(K, 0),
         "exp+2": schedule_exponential(K, 2),
-        "alg1": schedule_algebraic(1, 4 * _frac(K)),
-        "alg2": schedule_algebraic(2, _frac(K)),
-        "alg3": schedule_algebraic(3, _frac(K)),
+        "alg1": schedule_algebraic(1, 4 * to_fraction(K)),
+        "alg2": schedule_algebraic(2, to_fraction(K)),
+        "alg3": schedule_algebraic(3, to_fraction(K)),
     }
 
 
@@ -155,7 +151,7 @@ def parse_schedule(text: str, K) -> Schedule:
         return schedule_exponential(K, int(opts.get("k", opts.get("", 0))))
     if kind == "alg":
         order = int(opts.get("k", 1))
-        alpha = Fraction(opts["alpha"]) if "alpha" in opts else _frac(K)
+        alpha = Fraction(opts["alpha"]) if "alpha" in opts else to_fraction(K)
         return schedule_algebraic(order, alpha)
     if kind == "const":
         return schedule_constant(Fraction(opts[""]))
@@ -195,16 +191,11 @@ class MeasurementReport:
             "status": self.status(),
             "digits": self.digits,
             "requested": self.requested,
-            "total_time": _fmt(self.total_time),
-            "total_setup": _fmt(self.total_setup),
-            "stage_elapsed": [_fmt(t) for t in self.stage_elapsed],
+            "total_time": fraction_text(self.total_time),
+            "total_setup": fraction_text(self.total_setup),
+            "stage_elapsed": [fraction_text(t) for t in self.stage_elapsed],
             "details": self.details,
         }
-
-
-def _fmt(x) -> str:
-    f = _frac(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def default_stage_tolerance(stage: int) -> Fraction:
@@ -336,11 +327,9 @@ def grid_sweep_with_margin(oracle: CollisionOracle, n_digits: int, margin: int) 
     if n_digits < 1 or margin < 0:
         raise ValueError("need n_digits >= 1 and margin >= 0")
     rep = grid_sweep(oracle, n_digits + margin)
-    digits = rep.digits[:n_digits] if rep.complete else ""
-    return MeasurementReport(
-        procedure="grid-sweep-margin", digits=digits, requested=n_digits,
-        timed_out_at=rep.timed_out_at, total_time=rep.total_time,
-        total_setup=rep.total_setup, stage_elapsed=rep.stage_elapsed,
+    return replace(
+        rep, procedure="grid-sweep-margin", requested=n_digits,
+        digits=rep.digits[:n_digits] if rep.complete else "",
         details={"level": n_digits + margin, "margin": margin,
                  "grid_timeouts": rep.details["grid_timeouts"]},
     )
@@ -369,12 +358,7 @@ def constant_budget_bisection(oracle: CollisionOracle, k: int, n_digits: int) ->
         raise ValueError("k must be >= 0")
     rep = bisection(oracle, n_digits, schedule_constant(oracle.config.K * (1 << k)))
     rep.details["k"] = k
-    return MeasurementReport(
-        procedure="constant-budget-bisection", digits=rep.digits,
-        requested=rep.requested, timed_out_at=rep.timed_out_at,
-        total_time=rep.total_time, total_setup=rep.total_setup,
-        stage_elapsed=rep.stage_elapsed, details=rep.details,
-    )
+    return replace(rep, procedure="constant-budget-bisection")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +381,7 @@ def measurability_check(runs: RunLengths, schedule: Schedule, K, k_max: int) -> 
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    Kf = _frac(K)
+    Kf = to_fraction(K)
     out = []
     for k in range(1, k_max + 1):
         a_k = runs.a(k)
@@ -409,25 +393,6 @@ def measurability_check(runs: RunLengths, schedule: Schedule, K, k_max: int) -> 
             "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs,
         })
     return out
-
-
-def run_length_blocks(bits: str) -> list[int]:
-    """Run lengths of a digit prefix.  The final block is truncated by the
-    prefix horizon, so a continuation may always extend it."""
-    if not bits or set(bits) - {"0", "1"}:
-        raise ValueError("need a nonempty 0/1 prefix")
-    blocks = []
-    current = "1"
-    count = 0
-    for b in bits:
-        if b == current:
-            count += 1
-        else:
-            blocks.append(count)
-            current = b
-            count = 1
-    blocks.append(count)
-    return blocks
 
 
 def measurable_continuation(prefix: str) -> MassSource:
@@ -451,7 +416,7 @@ def adversarial_continuation(prefix: str, schedule: Schedule, K) -> MassSource:
     apart from the measurable continuation.
     """
     blocks = run_length_blocks(prefix)
-    runs = diagonal_run_lengths(lambda n: schedule(n), _frac(K),
+    runs = diagonal_run_lengths(lambda n: schedule(n), to_fraction(K),
                                 initial_runs=blocks, extend_last=True)
     runs.descriptor = f"prefix[{len(prefix)}]+adversarial:{schedule.descriptor}"
     return from_run_lengths(runs)

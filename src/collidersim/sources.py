@@ -12,21 +12,22 @@ rationals that are sound no matter what the unread tail does.
 That discipline is what makes timing questions decidable: a timeout
 verdict is issued only once the examined prefix proves the distance is
 too small, never from a floating-point shortcut.
+
+`refine` is the one deepening rule: every certified verdict (a proven
+gap, an oracle answer or timeout, a clock reading, a digit of an affine
+image) reads a prefix, and doubles its depth until the prefix settles
+the question or a digit horizon is reached.
 """
 
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, bits_above, to_fraction
 
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Dyadic):
-        return value.as_fraction()
-    return Fraction(value)
+T = TypeVar("T")
 
 
 class RunLengths:
@@ -250,24 +251,53 @@ def custom(digit_fn: Callable[[int], int], non_dyadic: Optional[bool] = None,
     return _CustomSource(digit_fn, non_dyadic=non_dyadic, kind=kind, audit=audit)
 
 
+def run_length_blocks(bits: str) -> list[int]:
+    """Run lengths of a digit prefix.  The final block is truncated by the
+    prefix horizon, so a continuation may always extend it."""
+    if not bits or set(bits) - {"0", "1"}:
+        raise ValueError("need a nonempty 0/1 prefix")
+    blocks = []
+    current = "1"
+    count = 0
+    for b in bits:
+        if b == current:
+            count += 1
+        else:
+            blocks.append(count)
+            current = b
+            count = 1
+    blocks.append(count)
+    return blocks
+
+
 def run_lengths_from_digits(src: MassSource, depth: int) -> list[int]:
     """Extract the leading run-length blocks visible in the first `depth` digits.
 
     The final block is truncated by the horizon, so only blocks that end
     strictly inside the prefix are reported.
     """
-    runs: list[int] = []
-    current = 1
-    count = 0
-    for n in range(1, depth + 1):
-        b = src.digit_at(n)
-        if b == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = b
-            count = 1
-    return runs
+    if depth < 1:
+        return []
+    bits = "".join(str(src.digit_at(n)) for n in range(1, depth + 1))
+    return run_length_blocks(bits)[:-1]
+
+
+def refine(depth: int, cap: int,
+           settle: Callable[[int], Optional[T]]) -> tuple[Optional[T], int]:
+    """Deepen a prefix read until it settles a question.
+
+    Calls settle(d) for d = depth, 2*depth, 4*depth, ... clamped to cap
+    and returns the first non-None verdict with the depth that gave it,
+    or (None, cap) when even the cap leaves the question open.
+    """
+    d = min(depth, cap)
+    while True:
+        verdict = settle(d)
+        if verdict is not None:
+            return verdict, d
+        if d >= cap:
+            return None, cap
+        d = min(2 * d, cap)
 
 
 class GapProbe:
@@ -298,7 +328,7 @@ def distance_bracket(src: MassSource, m, depth: int) -> tuple[Fraction, Fraction
     side is the sign of m - mu when the prefix already separates them,
     else 0 (in which case A == 0 and B <= 2**-depth).
     """
-    mf = _as_fraction(m)
+    mf = to_fraction(m)
     lo, hi = src.interval(depth)
     if mf < lo:
         return lo - mf, hi - mf, -1
@@ -318,35 +348,30 @@ def gap_probe(src: MassSource, m, max_depth: int, target: Optional[Fraction] = N
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    depth = 8 if target is None else max(8, _bits_of_inverse(target))
-    depth = min(depth, max_depth)
+    if target is not None and target <= 0:
+        raise ValueError("target gap must be positive")
     best: Optional[GapProbe] = None
-    while True:
-        a, b, side = distance_bracket(src, m, depth)
+    side = 0
+
+    def settle(d: int) -> Optional[GapProbe]:
+        nonlocal best, side
+        a, _, side = distance_bracket(src, m, d)
         if side != 0 and a > 0:
-            best = GapProbe(True, a, depth, side)
+            best = GapProbe(True, a, d, side)
             if target is None or a >= target:
                 return best
-        if depth >= max_depth:
-            break
-        depth = min(depth * 2, max_depth)
+        return None
+
+    start = 8 if target is None else max(8, bits_above(1 / target))
+    refine(start, max_depth, settle)
     if best is not None:
         return best
     # The boundary corner (m equal to the exclusive upper prefix endpoint)
     # separates only with one more digit, so report one level shallower to
-    # keep the Unresolved bound |m - mu| < 2**-d literally true.
-    _, _, side = distance_bracket(src, m, max_depth)
+    # keep the Unresolved bound |m - mu| < 2**-d literally true.  `side`
+    # is from the last read, which was at max_depth.
     d = max_depth if side == 0 else max_depth - 1
     return GapProbe(False, None, max(d, 1), 0)
-
-
-def _bits_of_inverse(x: Fraction) -> int:
-    """Smallest d with 2**-d <= x, clamped to >= 1."""
-    if x <= 0:
-        raise ValueError("target gap must be positive")
-    inv = 1 / x
-    d = (inv.numerator // inv.denominator).bit_length()
-    return max(d, 1)
 
 
 def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
@@ -366,7 +391,7 @@ def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
     extend_last the final seed block came from a truncated prefix and
     may stretch (never shrink) to satisfy its inequality.
     """
-    Kf = _as_fraction(K)
+    Kf = to_fraction(K)
     if Kf <= 0:
         raise ValueError("K must be positive")
     if initial_runs is None:
@@ -396,12 +421,11 @@ def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
             i = state["k"]
             a_prev = state["a"]
             base = max(a_prev, 1)
-            bound = max(_as_fraction(budget_fn(base)),
-                        _as_fraction(budget_fn(base + 1))) / Kf
+            bound = max(to_fraction(budget_fn(base)),
+                        to_fraction(budget_fn(base + 1))) / Kf
             floor_u = initial[-1] if (extend_last and i == j) else 1
-            u = max(floor_u, 1, _least_power_exceeding(bound) - a_prev)
-            while (1 << (a_prev + u)) <= bound:
-                u += 1
+            # least u with 2**(a_prev + u) > bound
+            u = max(floor_u, 1, bits_above(bound) - a_prev)
             cache[i] = u
             state["a"] = a_prev + u
             state["k"] = i + 1
@@ -417,30 +441,19 @@ def adversarial_mass(budget_fn: Callable[[int], Fraction], K,
                                                descriptor=descriptor))
 
 
-def _least_power_exceeding(bound: Fraction) -> int:
-    """Least t >= 0 with 2**t > bound."""
-    if bound < 1:
-        return 0
-    t = (bound.numerator // bound.denominator).bit_length() - 1
-    while (1 << t) <= bound:
-        t += 1
-    return t
-
-
 def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> MassSource:
     """Digits of offset + scale * mu, refined from the digits of mu.
 
     offset and scale must be dyadic and the image must stay inside [0, 1].
     Used to place an encoded parameter inside a fixed-precision window.
     """
-    off = _as_fraction(offset)
-    sc = _as_fraction(scale)
+    off = to_fraction(offset)
+    sc = to_fraction(scale)
     if sc <= 0:
         raise ValueError("scale must be positive")
 
     def digit_fn(n: int) -> int:
-        depth = n + 2
-        while True:
+        def settle(depth: int) -> Optional[int]:
             lo, hi = src.interval(depth)
             a = off + sc * lo
             b = off + sc * hi
@@ -449,11 +462,12 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
             bit_a = (a.numerator << n) // a.denominator
             # strict upper endpoint: subtract nothing, compare floor cells
             bit_b = ((b.numerator << n) - 1) // b.denominator if b > a else bit_a
-            if bit_a == bit_b:
-                return bit_a & 1
-            depth *= 2
-            if depth > 1 << 20:
-                raise RuntimeError("affine digit did not settle; source may be dyadic")
+            return bit_a & 1 if bit_a == bit_b else None
+
+        bit, _ = refine(n + 2, max(n + 2, 1 << 20), settle)
+        if bit is None:
+            raise RuntimeError("affine digit did not settle; source may be dyadic")
+        return bit
 
     non_dyadic = src.non_dyadic
     out = _CustomSource(digit_fn, non_dyadic=non_dyadic, kind=kind)

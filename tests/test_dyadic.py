@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from collidersim.dyadic import (Dyadic, ONE, ZERO, dyadic_to_word, midpoint,
+from collidersim.dyadic import (Dyadic, ONE, ZERO, bits_above, dyadic_to_word,
+                                fraction_text, midpoint, to_fraction,
                                 validate_word, word_length, word_to_dyadic)
 
 
@@ -111,3 +114,24 @@ class TestWords:
         for i in range(1, 12):
             d = Dyadic(2 * (i % 3) + 1, i) if (2 * (i % 3) + 1) < (1 << i) else Dyadic(1, i)
             assert len(dyadic_to_word(d)) == i + 1
+
+
+class TestNumericHelpers:
+    @given(st.fractions() | st.integers())
+    @example(Fraction(1, 4))
+    @example(Fraction(1))
+    @example(Fraction(-1, 2))
+    @example(1 << 70)
+    def test_bits_above_is_least_exceeding_power(self, x):
+        t = bits_above(x)
+        assert t >= 0
+        assert (1 << t) > x
+        assert t == 0 or (1 << (t - 1)) <= x
+
+    def test_to_fraction_and_text(self):
+        assert to_fraction(Dyadic(3, 2)) == Fraction(3, 4)
+        assert to_fraction("5/10") == Fraction(1, 2)
+        assert fraction_text(Fraction(6, 4)) == "3/2"
+        assert fraction_text(Fraction(4, 2)) == "2"
+        assert fraction_text(Dyadic(1, 3)) == "1/8"
+        assert fraction_text(0) == "0"

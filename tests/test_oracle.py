@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collidersim import rng
 from collidersim.collision import Outcome
@@ -242,6 +244,55 @@ class TestBatchedQueries:
         oracle = CollisionOracle(from_rational(1, 3))
         with pytest.raises(ConfigError):
             oracle.batch_query("01", 10, 4)
+
+    @pytest.mark.parametrize("eps", [Fraction(-1, 8), Fraction(0)])
+    @pytest.mark.parametrize("make_source",
+                             [lambda: from_rational(1, 3), third_as_stream],
+                             ids=["kernel", "per-trial"])
+    def test_batch_rejects_nonpositive_epsilon(self, eps, make_source):
+        # the same argument rules as a single query, on both engines
+        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY,
+                           wait_policy=WaitPolicy.FULL_BUDGET)
+        oracle = CollisionOracle(make_source(), cfg)
+        with pytest.raises(ConfigError, match="epsilon must be positive"):
+            oracle.batch_query("01", 6400, 16, epsilon=eps)
+        assert oracle.transcript == []
+
+    def test_batch_rejects_conflicting_fixed_epsilon(self):
+        cfg = OracleConfig(mode=PrecisionMode.FIXED, epsilon=Fraction(1, 64),
+                           wait_policy=WaitPolicy.FULL_BUDGET)
+        oracle = CollisionOracle(from_rational(1, 3), cfg)
+        with pytest.raises(ConfigError, match="FIXED mode pins"):
+            oracle.batch_query("01", 6400, 16, epsilon=Fraction(1, 32))
+        rec = oracle.batch_query("01", 6400, 16, epsilon=Fraction(1, 64))
+        assert rec.epsilon == Fraction(1, 64)
+
+
+class TestProbedMatchesExactProperty:
+    """A digit stream of p/q, probed, decides like the exact rational p/q."""
+
+    @settings(max_examples=200, deadline=None)
+    # p < q: the digit rule below cannot spell 1 (its expansion is 0.111...)
+    @given(pq=st.integers(2, 500).flatmap(
+               lambda q: st.tuples(st.integers(0, q - 1), st.just(q))),
+           word=st.text("01", min_size=1, max_size=24),
+           log_budget=st.integers(1, 60), budget_den=st.integers(1, 7),
+           jitter=st.sampled_from([0, 1, 5]),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           seed=st.integers(0, 2**16))
+    def test_probed_oracle_matches_exact(self, pq, word, log_budget,
+                                         budget_den, jitter, timing, seed):
+        p, q = pq
+        word = "0" + word
+        budget = Fraction(1 << log_budget, budget_den)
+        cfg = OracleConfig(K=Fraction(3, 2), N=Fraction(jitter, 16),
+                           timing=timing, seed=seed)
+        stream = custom(lambda n: ((p << n) // q) & 1)
+        exact = CollisionOracle(from_rational(p, q), cfg).query(word, budget)
+        probed = CollisionOracle(stream, cfg).query(word, budget)
+        assert probed.outcome is exact.outcome
+        if exact.outcome is not Outcome.TIMEOUT:
+            assert 0 <= exact.elapsed - probed.elapsed < Fraction(1, 1 << 47)
 
 
 class TestTranscripts:

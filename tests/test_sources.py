@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from collidersim.dyadic import Dyadic
 from collidersim.sources import (GapProbe, MassSource, RunLengths,
@@ -9,7 +11,8 @@ from collidersim.sources import (GapProbe, MassSource, RunLengths,
                                  diagonal_run_lengths, distance_bracket,
                                  from_dyadic, from_rational, from_run_lengths,
                                  gap_probe, load_mass_file, parse_fraction,
-                                 parse_mass_spec, run_lengths_from_digits)
+                                 parse_mass_spec, refine,
+                                 run_lengths_from_digits)
 
 
 def digits_of(src, depth):
@@ -179,6 +182,14 @@ class TestDistanceBrackets:
         assert probe.gap >= Fraction(1, 64)
         assert probe.depth <= 64
 
+    def test_refine_doubles_then_clamps_to_the_cap(self):
+        seen = []
+        assert refine(3, 20, seen.append) == (None, 20)
+        assert seen == [3, 6, 12, 20]
+        assert refine(3, 20, lambda d: d if d > 5 else None) == (6, 6)
+        assert refine(3, 20, lambda d: 0) == (0, 3)
+        assert refine(30, 20, lambda d: d) == (20, 20)
+
 
 class TestAdversarialMasses:
     def test_blocks_outgrow_plain_exponential(self):
@@ -226,6 +237,31 @@ class TestAffineImages:
         want = from_rational(7, 12)
         assert src.exact_value == Fraction(7, 12)
         assert digits_of(src, 40) == digits_of(want, 40)
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["dyadic", "rational"]),
+           pq=st.integers(1, 300).flatmap(
+               lambda q: st.tuples(st.integers(0, q - 1), st.just(q))),
+           scale=st.tuples(st.integers(1, 32), st.integers(0, 6)),
+           offset=st.tuples(st.integers(0, 64), st.integers(0, 6)))
+    def test_digits_match_exact_image(self, kind, pq, scale, offset):
+        p, q = pq
+        if kind == "dyadic":
+            q = 1 << q.bit_length()
+        sc = Fraction(scale[0], 1 << scale[1])
+        off = Fraction(offset[0], 1 << offset[1])
+        # the image of [0, 1) must stay inside [0, 1)
+        assume(sc <= 1 and off + sc <= 1)
+        mu = Fraction(p, q)
+        src = from_dyadic(mu) if kind == "dyadic" else from_rational(p, q)
+        image = off + sc * mu
+        # a dyadic image of a non-dyadic source sits on a cell boundary
+        # that no finite prefix of the source settles
+        assume(not src.non_dyadic or image.denominator & (image.denominator - 1))
+        out = affine_of_source(off, sc, src)
+        assert out.exact_value == image
+        want = from_rational(image.numerator, image.denominator)
+        assert digits_of(out, 48) == digits_of(want, 48)
 
     def test_rejects_images_outside_unit_interval(self):
         with pytest.raises(ValueError):
