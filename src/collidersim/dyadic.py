@@ -32,9 +32,10 @@ class Dyadic:
         if num == 0:
             exp = 0
         else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+            # strip trailing zero bits, at most exp of them
+            shift = min((num & -num).bit_length() - 1, exp)
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -110,6 +111,8 @@ class Dyadic:
         if isinstance(other, Dyadic):
             e = max(self.exp, other.exp)
             return self.num << (e - self.exp), other.num << (e - other.exp)
+        if isinstance(other, int):
+            return self.num, other << self.exp
         f = Fraction(other)
         return self.num * f.denominator, f.numerator * (1 << self.exp)
 
@@ -157,6 +160,8 @@ ONE = Dyadic(1)
 
 def to_fraction(value: RationalLike) -> Fraction:
     """Any exact rational (int, Fraction, Dyadic, decimal text) as a Fraction."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, Dyadic):
         return value.as_fraction()
     return Fraction(value)
@@ -181,7 +186,8 @@ def midpoint(a: Dyadic, b: Dyadic) -> Dyadic:
 def validate_word(word: str) -> None:
     if not word:
         raise ValueError("empty query word")
-    if any(ch not in "01" for ch in word):
+    # strip("01") leaves text iff some character is not an ASCII 0 or 1
+    if word.strip("01"):
         raise ValueError(f"query word must be over 0/1, got {word!r}")
     if word[0] == "1" and len(word) > 1:
         raise ValueError(f"a word starting with 1 must be exactly '1', got {word!r}")

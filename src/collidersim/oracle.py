@@ -14,6 +14,7 @@ and arrival times, which is exactly the information channel under
 study.
 
 Decisions are certified, never guessed.  For an exactly-known target
+the decision is one inequality between cross-multiplied integers, and
 the arrival time is computed in closed form.  For a target known only
 as a digit stream, the query reads just enough digits to prove the
 arrival falls strictly before the deadline or at-or-after it; the
@@ -30,9 +31,13 @@ from typing import Optional
 
 from . import rng
 from .collision import Outcome
-from .dyadic import (bits_above, fraction_text, to_fraction, validate_word,
+# validate_word runs inside word_to_dyadic; the name stays importable here
+# because perfbench/spans.py traces it at the oracle's lookup name
+from .dyadic import (bits_above, fraction_text, to_fraction, validate_word,  # noqa: F401
                      word_to_dyadic)
 from .sources import MassSource, distance_bracket, refine
+
+_ZERO = Fraction(0)
 
 
 class PrecisionMode(enum.Enum):
@@ -243,7 +248,7 @@ class CollisionOracle:
     def _draw_jitter(self, stream: int, trial: int = 0) -> Fraction:
         cfg = self.config
         if cfg.N == 0:
-            return Fraction(0)
+            return _ZERO
         r = rng.raw64(cfg.seed, stream, 2 * trial + 1)
         return -cfg.N + 2 * cfg.N * Fraction(r, 1 << 64)
 
@@ -294,7 +299,6 @@ class CollisionOracle:
         exactly manufactured masses.
         """
         cfg = self.config
-        validate_word(word)
         z = word_to_dyadic(word).as_fraction()
         budget = to_fraction(budget)
         if budget <= 0:
@@ -325,22 +329,26 @@ class CollisionOracle:
         it is the reason equality never has to be decided from an
         infinite digit tail.
         """
-        deadline = budget - jitter
+        deadline = budget - jitter if jitter else budget
         if deadline <= 0:
             return Outcome.TIMEOUT, None, None
 
         exact = self.source.exact_value
-        if exact is not None:
-            gap = abs(m_star - exact)
-            if gap == 0:
-                return Outcome.TIMEOUT, None, None
-            t = self._law(m_star, exact) / gap
-            if t + jitter < budget:
-                side = Outcome.LESSER if m_star < exact else Outcome.GREATER
-                return side, t + jitter, None
+        if exact is None:
+            return self._decide_probed(m_star, jitter, deadline, need_arrival)
+        # law/gap < deadline in cross-multiplied integers, where
+        # gap = |m* - mu| = |diff| / gd
+        diff = m_star.numerator * exact.denominator - exact.numerator * m_star.denominator
+        if diff == 0:
             return Outcome.TIMEOUT, None, None
-
-        return self._decide_probed(m_star, jitter, deadline, need_arrival)
+        gn, gd = abs(diff), m_star.denominator * exact.denominator
+        law = self._law(m_star, exact)
+        if law.numerator * gd * deadline.denominator >= deadline.numerator * gn * law.denominator:
+            return Outcome.TIMEOUT, None, None
+        side = Outcome.LESSER if diff < 0 else Outcome.GREATER
+        if not need_arrival:
+            return side, None, None
+        return side, Fraction(law.numerator * gd, law.denominator * gn) + jitter, None
 
     def _law(self, m_star: Fraction, mu) -> Fraction:
         """Arrival time times |m* - mu|: K under protocol timing, and
@@ -392,10 +400,16 @@ class CollisionOracle:
         is certified to 2**-48: the enclosure from deeper digit reads is
         narrowed until it fits inside one clock tick, then snapped to
         the tick grid.  Deterministic, so replays reproduce it exactly.
-        The digit horizon is the first doubling of depth_hint that
-        reaches four times the probe cap.
+
+        Past depth_hint the certified gap a only grows, and the enclosure
+        at depth d is at most 4 law(m*, 1) 2**-d / a**2 wide, so every
+        d >= need fits it inside a tick.  The digit horizon is the first
+        doubling of depth_hint that reaches both need and four times the
+        probe cap.
         """
         tick = Fraction(1, 1 << self._CLOCK_BITS)
+        a, _, _ = distance_bracket(self.source, m_star, depth_hint)
+        need = bits_above((4 << self._CLOCK_BITS) * self._law(m_star, 1) / (a * a))
 
         def settle(depth: int):
             _, earliest, latest = self._arrival_bounds(m_star, depth)
@@ -404,7 +418,7 @@ class CollisionOracle:
                 return Fraction(ticks, 1 << self._CLOCK_BITS) + jitter
             return None
 
-        horizon = 4 * self.config.probe_depth_cap
+        horizon = max(need, 4 * self.config.probe_depth_cap)
         cap = depth_hint << ((horizon - 1) // depth_hint).bit_length()
         arrival, _ = refine(depth_hint, cap, settle)
         if arrival is None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .collision import Outcome
-from .dyadic import (Dyadic, ZERO, ONE, dyadic_to_word, fraction_text,
+from .dyadic import (ZERO, ONE, dyadic_to_word, fraction_text,
                      midpoint, to_fraction)
 from .oracle import (CollisionOracle, ConfigError, PrecisionMode,
                      TimeoutExceeded, WaitPolicy)
@@ -289,8 +289,7 @@ def grid_sweep(oracle: CollisionOracle, r: int) -> MeasurementReport:
     lesser_max = None
     greater_min = None
     for p in range(0, (1 << r) + 1):
-        value = Dyadic.from_fraction(Fraction(p, 1 << r))
-        word = dyadic_to_word(value, min_length=r + 1) if p < (1 << r) else "1"
+        word = "0" + format(p, f"0{r}b") if p < (1 << r) else "1"
         try:
             rec = oracle.query(word, budget)
         except TimeoutExceeded as exc:

@@ -442,7 +442,8 @@ def adversarial_mass(budget_fn: Callable[[int], Fraction], K,
 
 
 def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> MassSource:
-    """Digits of offset + scale * mu, refined from the digits of mu.
+    """Digits of offset + scale * mu: read from the exact image when mu is
+    known exactly, otherwise refined from the digits of mu.
 
     offset and scale must be dyadic and the image must stay inside [0, 1].
     Used to place an encoded parameter inside a fixed-precision window.
@@ -451,6 +452,15 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
     sc = to_fraction(scale)
     if sc <= 0:
         raise ValueError("scale must be positive")
+    if src.exact_value is not None:
+        # a dyadic image of a non-dyadic source sits on a cell boundary
+        # that no finite prefix of the source settles
+        image = off + sc * src.exact_value
+        if not 0 <= image <= 1:
+            raise ValueError("affine image leaves [0, 1]")
+        out = _RationalSource(image.numerator, image.denominator)
+        out.kind, out.non_dyadic = kind, src.non_dyadic
+        return out
 
     def digit_fn(n: int) -> int:
         def settle(depth: int) -> Optional[int]:
@@ -466,17 +476,11 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
 
         bit, _ = refine(n + 2, max(n + 2, 1 << 20), settle)
         if bit is None:
-            raise RuntimeError("affine digit did not settle; source may be dyadic")
+            raise RuntimeError("affine digit did not settle within 2**20 source "
+                               "digits; the image may be dyadic")
         return bit
 
-    non_dyadic = src.non_dyadic
-    out = _CustomSource(digit_fn, non_dyadic=non_dyadic, kind=kind)
-    if src.exact_value is not None:
-        out.exact_value = off + sc * src.exact_value
-        ev = out.exact_value
-        if not 0 <= ev <= 1:
-            raise ValueError("affine image leaves [0, 1]")
-    return out
+    return _CustomSource(digit_fn, non_dyadic=src.non_dyadic, kind=kind)
 
 
 # ---------------------------------------------------------------------------

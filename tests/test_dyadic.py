@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,17 @@ class TestCanonicalForm:
 
     def test_negative_exponent_scales_up(self):
         assert Dyadic(3, -2) == Dyadic(12, 0)
+
+    @given(num=st.integers(-(1 << 80), 1 << 80), exp=st.integers(-20, 600),
+           k=st.integers(0, 600))
+    @example(num=1 << 400, exp=500, k=0)
+    @example(num=-12, exp=1, k=3)
+    def test_trailing_zero_bits_are_stripped(self, num, exp, k):
+        d = Dyadic(num, exp)
+        wide = Dyadic(num << k, exp + k)
+        assert (wide.num, wide.exp) == (d.num, d.exp)
+        assert Fraction(d.num, 1 << d.exp) == num * Fraction(2) ** -exp
+        assert d.exp >= 0 and (d.exp == 0 or d.num % 2 == 1)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -52,6 +64,14 @@ class TestArithmetic:
         assert Dyadic(1, 2) < Fraction(1, 3)
         assert Dyadic(3, 2) > Fraction(2, 3)
         assert Dyadic(1, 1) == Fraction(1, 2)
+
+    @given(num=st.integers(-(1 << 70), 1 << 70), exp=st.integers(0, 70),
+           other=st.integers(-(1 << 70), 1 << 70) | st.booleans())
+    @example(num=3, exp=0, other=3)
+    def test_comparisons_against_ints(self, num, exp, other):
+        d, f = Dyadic(num, exp), Fraction(num, 1 << exp)
+        assert (d == other, d < other, d <= other, d > other, d >= other) == \
+            (f == other, f < other, f <= other, f > other, f >= other)
 
     def test_midpoint(self):
         assert midpoint(ZERO, ONE) == Dyadic(1, 1)
@@ -89,6 +109,20 @@ class TestWords:
         for bad in ("", "02", "0a1"):
             with pytest.raises(ValueError):
                 validate_word(bad)
+
+    @given(st.text(st.sampled_from("01 2a\n\uff10\uff11\u0661"), max_size=12)
+           | st.text(max_size=6))
+    @example("")
+    @example("10")
+    @example("0 1")
+    @example("02")
+    @example("0\uff11")  # a fullwidth digit one, which int(_, 2) would accept
+    def test_accepts_exactly_the_word_language(self, word):
+        if re.fullmatch(r"0[01]*|1", word):
+            validate_word(word)
+        else:
+            with pytest.raises(ValueError):
+                validate_word(word)
 
     def test_padding_preserves_value(self):
         w = dyadic_to_word(Dyadic(1, 1), min_length=5)

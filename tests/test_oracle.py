@@ -1,8 +1,9 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collidersim import rng
@@ -293,6 +294,74 @@ class TestProbedMatchesExactProperty:
         assert probed.outcome is exact.outcome
         if exact.outcome is not Outcome.TIMEOUT:
             assert 0 <= exact.elapsed - probed.elapsed < Fraction(1, 1 << 47)
+
+
+class TestClockHorizon:
+    def test_clock_reads_at_small_probe_caps(self):
+        # the decision settles within a small cap, but a 2**-48 clock
+        # reading needs about 48 + 2 log2(1/gap) digits, far past 4 caps
+        tick = Fraction(1, 1 << 48)
+        deep = CollisionOracle(from_run_lengths([3, 2, 4]))
+        for cap in range(8, 17):
+            small = CollisionOracle(from_run_lengths([3, 2, 4]),
+                                    OracleConfig(probe_depth_cap=cap))
+            for word, budget in product(["01", "011", "0101", "00111", "0110"],
+                                        [3, 16, 64, 199]):
+                got = small.query(word, budget)
+                if got.outcome is Outcome.TIMEOUT:
+                    continue
+                want = deep.query(word, budget)
+                assert got.outcome is want.outcome
+                assert abs(got.elapsed - want.elapsed) <= tick
+
+
+class TestIntegerDecisionProperty:
+    """Queries on exact targets decide like law/gap + jitter < budget."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.one_of(
+               st.integers(1, 500).flatmap(
+                   lambda q: st.tuples(st.integers(0, q), st.just(q))),
+               st.integers(0, 70).flatmap(
+                   lambda e: st.tuples(st.integers(0, 1 << e), st.just(1 << e)))),
+           word=st.one_of(st.just("1"),
+                          st.text("01", max_size=40).map(lambda w: "0" + w)),
+           K=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+           budget=st.tuples(st.integers(1, 1 << 50), st.integers(1, 7)),
+           N=st.integers(0, 16),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           wait=st.sampled_from(list(WaitPolicy)),
+           seed=st.integers(0, 2**16))
+    # gap = 0: the projectile is the target, no budget answers
+    @example(target=(1, 2), word="01", K=(1, 1), budget=(1 << 50, 1), N=0,
+             timing="protocol", wait=WaitPolicy.INTERRUPT, seed=0)
+    # deadline <= 0: seed 6 draws jitter ~0.886 from [-1, 1], above the budget
+    @example(target=(1, 3), word="01", K=(1, 1), budget=(1, 2), N=16,
+             timing="protocol", wait=WaitPolicy.INTERRUPT, seed=6)
+    # arrival exactly at the deadline: 1/(1/2 - 1/3) = 6
+    @example(target=(1, 3), word="01", K=(1, 1), budget=(6, 1), N=0,
+             timing="protocol", wait=WaitPolicy.INTERRUPT, seed=0)
+    def test_decision_matches_fraction_evaluation(self, target, word, K, budget,
+                                                  N, timing, wait, seed):
+        mu = Fraction(*target)
+        budget = Fraction(*budget)
+        cfg = OracleConfig(K=Fraction(*K), N=Fraction(N, 16), timing=timing,
+                           launch_speed=Fraction(3), flag_distance=Fraction(5),
+                           wait_policy=wait, seed=seed, record_hidden=True)
+        src = from_rational(*target) if mu.denominator & (mu.denominator - 1) \
+            else from_dyadic(mu)
+        rec = CollisionOracle(src, cfg).query(word, budget)
+
+        m, jitter = rec.hidden["m_star"], rec.hidden["jitter"]
+        law = cfg.K if timing == "protocol" else Fraction(5, 3) * (m + mu)
+        gap = abs(m - mu)
+        arrival = law / gap + jitter if gap else None
+        if arrival is not None and arrival < budget:
+            assert rec.outcome is (Outcome.LESSER if m < mu else Outcome.GREATER)
+            assert rec.elapsed == (arrival if wait is WaitPolicy.INTERRUPT else budget)
+        else:
+            assert rec.outcome is Outcome.TIMEOUT
+            assert rec.elapsed == budget
 
 
 class TestTranscripts:
