@@ -22,7 +22,7 @@ import bisect
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .sources import MassSource
+from .sources import MassSource, parse_fraction
 
 TRIPLE_OF_BIT = {"0": "100", "1": "010"}
 BIT_OF_TRIPLE = {"100": "0", "010": "1"}
@@ -157,9 +157,9 @@ class PrefixFunction:
                         if not eq:
                             continue
                         if key == "a":
-                            a = Fraction(val)
+                            a = parse_fraction(val)
                         elif key == "b":
-                            b = Fraction(val)
+                            b = parse_fraction(val)
                         elif key == "alphabet":
                             binarize = (val == "text")
                     continue

@@ -21,7 +21,7 @@ from .dyadic import (ZERO, ONE, dyadic_to_word, fraction_text,
 from .oracle import (CollisionOracle, ConfigError, PrecisionMode,
                      TimeoutExceeded, WaitPolicy)
 from .sources import (MassSource, RunLengths, diagonal_run_lengths,
-                      from_run_lengths, run_length_blocks)
+                      from_run_lengths, parse_fraction, run_length_blocks)
 
 
 class Schedule:
@@ -151,12 +151,14 @@ def parse_schedule(text: str, K) -> Schedule:
         return schedule_exponential(K, int(opts.get("k", opts.get("", 0))))
     if kind == "alg":
         order = int(opts.get("k", 1))
-        alpha = Fraction(opts["alpha"]) if "alpha" in opts else to_fraction(K)
+        alpha = parse_fraction(opts["alpha"]) if "alpha" in opts else to_fraction(K)
         return schedule_algebraic(order, alpha)
     if kind == "const":
-        return schedule_constant(Fraction(opts[""]))
+        if "" not in opts:
+            raise ValueError(f"schedule spec {text!r} needs a budget, e.g. const:96")
+        return schedule_constant(parse_fraction(opts[""]))
     if kind == "table":
-        return schedule_tabular([Fraction(v) for v in args.split(",")])
+        return schedule_tabular([parse_fraction(v) for v in args.split(",")])
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 

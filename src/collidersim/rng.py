@@ -4,9 +4,9 @@ Each oracle query draws from its own substream keyed by (seed, query
 index), so transcripts replay bit-for-bit regardless of batching order
 and replications can fan out across independent seeds.  The generator is
 a counter-based splitmix64: stateless, portable, and reproduced verbatim
-by the compiled trial kernel, which is why it is written out here rather
-than delegated to the random module (whose Mersenne Twister state cannot
-be split by counter).
+by the lane-packed trial kernel in kernels.py, which is why it is written
+out here rather than delegated to the random module (whose Mersenne
+Twister state cannot be split by counter).
 """
 
 from __future__ import annotations

@@ -51,6 +51,21 @@ class TestMeasure:
                      "--procedure", "grid", "--level", "2", "--wait", "full"])
         assert code == EXIT_CONFIG
 
+    # a zero denominator is a bad argument (exit 2), not a crash
+    @pytest.mark.parametrize("spec", ["const:1/0", "alg:k=1,alpha=1/0",
+                                      "table:4,1/0"])
+    def test_zero_denominator_schedule_is_config_error(self, spec, capsys):
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "4",
+                     "--schedule", spec])
+        assert code == EXIT_CONFIG
+        assert "cannot parse rational '1/0'" in capsys.readouterr().err
+
+    def test_const_schedule_needs_a_budget(self, capsys):
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "4",
+                     "--schedule", "const:"])
+        assert code == EXIT_CONFIG
+        assert "needs a budget" in capsys.readouterr().err
+
     def test_abort_reaction_maps_to_timeout_exit(self, capsys):
         # the measurement loop contains the abort and reports it as an
         # ordinary incomplete run
@@ -159,6 +174,15 @@ class TestAdviceCommand:
         assert payload["decoded"]["advice"] == "1"
         assert payload["decoded"]["digits_consumed"] <= \
             payload["decoded"]["read_bound"]
+
+    @pytest.mark.parametrize("directive", ["a=1/0", "b=1/0"])
+    def test_zero_denominator_directive_is_config_error(self, directive,
+                                                         tmp_path, capsys):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"# {directive}\n0\t\n1\t1\n", encoding="utf-8")
+        code = main(["advice", "--table", str(path), "--digits", "12"])
+        assert code == EXIT_CONFIG
+        assert "cannot parse rational '1/0'" in capsys.readouterr().err
 
     def test_missing_table_file(self, tmp_path, capsys):
         code = main(["advice", "--table", str(tmp_path / "nope.tsv")])

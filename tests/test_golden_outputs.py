@@ -3,7 +3,8 @@
 Each case runs `cli.main` in-process with `--out` and compares the sha256
 of every file the run wrote against digests recorded before the L1-L2
 refactor that merged the bracket-deepening loops, the timing law and the
-numeric helpers.  Any change to a transcript, report, estimate, advice
+numeric helpers; the kernel-path `estimate-kernel` case was recorded
+before the optional compiled counting engine was retired.  Any change to a transcript, report, estimate, advice
 payload or manifest byte shows up here.  The runs are relative to a
 temporary working directory so no absolute path reaches a result file.
 """
@@ -31,9 +32,12 @@ CASES = {
     "grid": ["measure", "--mass", "pattern:3,2,4", "--procedure", "grid",
              "--level", "5", "--wait", "full", "--seed", "0"],
     # an embedded pattern parameter has no exact value, so the estimator
-    # runs the per-trial engine and its bytes do not depend on the build
+    # runs the per-trial engine
     "estimate": ["estimate", "--mass", "pattern:2,1,3", "--k", "1",
                  "--delta", "3/4", "--epsilon", "1/8", "--seed", "3"],
+    # an exactly-known rational target runs the lane-packed counting kernel
+    "estimate-kernel": ["estimate", "--mass", "rational:443/896", "--k", "2",
+                        "--epsilon", "1/64", "--seed", "5"],
     "advice": ["advice", "--table", "table.tsv", "--digits", "200",
                "--word-length", "3"],
 }
@@ -84,6 +88,14 @@ GOLDEN = {
             "809dd32149ae2305551e90a98b615c99b6df2225b662ea62c9687ddf156c4743",
         "transcript.jsonl":
             "2c21f92912e9126fc6277434f8267571bf64de689b8e84e5baaad0e9889db0de",
+    },
+    "estimate-kernel": {
+        "estimate.json":
+            "a84dfd1f505f2101c840aca6a7e2ebfc065e9212493ee2c5a676ff97b47b09d3",
+        "manifest.json":
+            "906704ecd038b62b45e671365d499fa6974e2577dc57321154bd4dbf3cd213f0",
+        "transcript.jsonl":
+            "c5e4f27c6bfe2167569318bdec3ad85ee061b9d98e2e875dacb10fcf7e70eb96",
     },
     "grid": {
         "manifest.json":
