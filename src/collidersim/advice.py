@@ -214,17 +214,20 @@ class _AdviceSource(MassSource):
             jstar = 0
             while (1 << jstar) < f.stable_from:
                 jstar += 1
+            # encode_advice checks growth and prefix extension through
+            # 2**jstar; past it f is constant and a >= 0, so they hold.
             head = encode_advice(f, jstar)
             exact = Fraction(7 * int(head, 2) + 1, 7 << len(head))
         super().__init__(exact_value=exact, non_dyadic=True)
         self._f = f
-        self._buf = ""
         self._gen = advice_chunks(f)
 
-    def _digit(self, n: int) -> int:
-        while len(self._buf) < n:
-            self._buf += next(self._gen)
-        return int(self._buf[n - 1])
+    def _block(self, start: int, depth: int) -> str:
+        # only without stable_from: an exact value reads in closed form
+        chunk = next(self._gen)
+        while not chunk:
+            chunk = next(self._gen)
+        return chunk
 
     def describe(self) -> dict:
         d = super().describe()

@@ -197,8 +197,7 @@ def cmd_advice(args) -> int:
         "mass": src.describe(),
     }
     if args.digits:
-        payload["digits"] = "".join(str(src.digit_at(i))
-                                    for i in range(1, args.digits + 1))
+        payload["digits"] = format(src.prefix_int(args.digits), f"0{args.digits}b")
     if args.word_length:
         bits, consumed = decode_advice(src, args.word_length, f.a, f.b)
         payload["decoded"] = {

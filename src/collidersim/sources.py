@@ -21,7 +21,6 @@ the question or a digit horizon is reached.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -95,20 +94,15 @@ class RunLengths:
             self._u.append(u)
             self._a.append((self._a[-1] if self._a else 0) + u)
 
-    def blocks_covering(self, depth: int) -> int:
-        """Smallest k with a_k >= depth."""
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        k = max(1, len(self._u))
-        while self.a(k) < depth:
-            k += 1
-        # the cache may extend past the answer already, so search it
-        # rather than trusting the frontier
-        return bisect.bisect_left(self._a, depth, 0, k) + 1
-
 
 class MassSource:
-    """Base digit stream.  Subclasses implement _digit(n) for n >= 1."""
+    """Base digit stream.
+
+    A source holds the digits read so far as one prefix int and extends
+    it a block at a time through _block; subclasses implement _digit(n)
+    for n >= 1, or a whole-block _block.  A source whose value is known
+    exactly reads every prefix in closed form instead.
+    """
 
     kind = "abstract"
 
@@ -118,34 +112,43 @@ class MassSource:
         self.exact_value = exact_value
         self.non_dyadic = non_dyadic
         self.run_lengths = run_lengths
-        self._bits: list[int] = []
-        self._prefix = 0
+        self._prefix = 0  # the first _depth digits
+        self._depth = 0
 
     def _digit(self, n: int) -> int:
         raise NotImplementedError
 
+    def _block(self, start: int, depth: int) -> str:
+        """The next one or more digits after digit `start`, as a 0/1
+        string, in a read towards `depth`.  The default reads one digit."""
+        b = int(self._digit(start + 1))
+        if b not in (0, 1):
+            raise ValueError(f"digit stream produced {b!r}")
+        return "01"[b]
+
     def digit_at(self, n: int) -> int:
         if n < 1:
             raise ValueError("digit positions are 1-indexed")
-        self._materialize(n)
-        return self._bits[n - 1]
+        return self.prefix_int(n) & 1
 
     def prefix_int(self, depth: int) -> int:
         """First `depth` digits as an integer: value is in [p, p+1) / 2**depth."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        if depth == 0:
-            return 0
-        self._materialize(depth)
-        return self._prefix >> (len(self._bits) - depth)
-
-    def _materialize(self, depth: int) -> None:
-        while len(self._bits) < depth:
-            b = int(self._digit(len(self._bits) + 1))
-            if b not in (0, 1):
-                raise ValueError(f"digit stream produced {b!r}")
-            self._bits.append(b)
-            self._prefix = (self._prefix << 1) | b
+        if self.exact_value is not None:
+            v = self.exact_value
+            return (v.numerator << depth) // v.denominator
+        if self._depth < depth:
+            # one shift of the prefix per read, not per block: blocks can be
+            # a few digits long, and a shift per block is quadratic in depth
+            blocks = []
+            n = self._depth
+            while n < depth:
+                blocks.append(self._block(n, depth))
+                n += len(blocks[-1])
+            self._prefix = (self._prefix << (n - self._depth)) | int("".join(blocks), 2)
+            self._depth = n
+        return self._prefix >> (self._depth - depth)
 
     def interval(self, depth: int) -> tuple[Fraction, Fraction]:
         """Half-open [lo, hi) of width 2**-depth containing the value."""
@@ -169,14 +172,6 @@ class _DyadicSource(MassSource):
         if value < 0 or value > 1:
             raise ValueError("mass must lie in [0, 1]")
         super().__init__(exact_value=value.as_fraction(), non_dyadic=False)
-        self._value = value
-
-    def _digit(self, n: int) -> int:
-        return self._value.fractional_bit(n)
-
-    def prefix_int(self, depth: int) -> int:
-        v = self._value
-        return (v.num << depth) >> v.exp if depth else 0
 
 
 class _RationalSource(MassSource):
@@ -190,13 +185,6 @@ class _RationalSource(MassSource):
             raise ValueError("mass must lie in [0, 1]")
         den = f.denominator
         super().__init__(exact_value=f, non_dyadic=(den & (den - 1) != 0))
-        self._p, self._q = f.numerator, f.denominator
-
-    def _digit(self, n: int) -> int:
-        return ((self._p << n) // self._q) & 1
-
-    def prefix_int(self, depth: int) -> int:
-        return (self._p << depth) // self._q
 
 
 class _PatternSource(MassSource):
@@ -207,10 +195,17 @@ class _PatternSource(MassSource):
         # so the stream is never eventually constant: the value is irrational
         # or at least non-dyadic by construction.
         super().__init__(non_dyadic=True, run_lengths=runs)
+        self._run = 0   # the run the last block came from
+        self._left = 0  # its digits not read yet
 
-    def _digit(self, n: int) -> int:
-        k = self.run_lengths.blocks_covering(n)
-        return 1 if k % 2 == 1 else 0
+    def _block(self, start: int, depth: int) -> str:
+        while not self._left:
+            self._run += 1
+            self._left = self.run_lengths.u(self._run)
+        # runs may grow geometrically: never allocate past the request
+        n = min(self._left, depth - start)
+        self._left -= n
+        return "01"[self._run & 1] * n
 
 
 class _CustomSource(MassSource):
@@ -278,7 +273,8 @@ def run_lengths_from_digits(src: MassSource, depth: int) -> list[int]:
     """
     if depth < 1:
         return []
-    bits = "".join(str(src.digit_at(n)) for n in range(1, depth + 1))
+    # the unit mass reads 1 before the point; keep its fractional digits
+    bits = format(src.prefix_int(depth), f"0{depth}b")[-depth:]
     return run_length_blocks(bits)[:-1]
 
 

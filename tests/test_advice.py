@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collidersim.advice import (AdviceCorruptionError, GrowthBoundError,
                                 PrefixFunction, advice_chunks, binarize_8bit,
@@ -111,6 +113,69 @@ class TestEncoding:
         src.digit_at(500)
         assert calls
         assert all(n == 0 or n & (n - 1) == 0 for n in calls)
+
+
+def table_value(table, n):
+    value = ""
+    for key, bits in table:
+        if key <= n:
+            value = bits
+    return value
+
+
+def advice_reference(table, depth):
+    """The encoding of a step table, triple by triple, and its chunk edges."""
+    code = {"0": "100", "1": "010"}
+    prev = table_value(table, 0)
+    out = "".join(code[b] for b in prev)
+    edges = [len(out)]
+    j = 0
+    while len(out) < depth:
+        cur = table_value(table, 1 << j)
+        for b in cur[len(prev):]:
+            out += code[b]
+        out += "001"
+        edges.append(len(out))
+        prev = cur
+        j += 1
+    return out[:depth], edges
+
+
+@st.composite
+def step_tables(draw):
+    keys = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=5)))
+    bits = ""
+    table = []
+    for key in keys:
+        bits += draw(st.text("01", max_size=3))
+        table.append((key, bits))
+    return table
+
+
+class TestBlockReads:
+    @settings(max_examples=150, deadline=None)
+    @given(table=step_tables(), stable=st.booleans(), data=st.data())
+    @example(table=[(0, ""), (1, "1")], stable=False, data=None)
+    @example(table=[(0, "01"), (3, "0110")], stable=True, data=None)
+    def test_prefixes_match_digit_by_digit_reference(self, table, stable, data):
+        ref, edges = advice_reference(table, 160)
+        f = PrefixFunction.from_table(table)
+        if not stable:  # the same steps behind an opaque callable
+            f = PrefixFunction(f, f.a, f.b)
+        src = encoded_mass(f)
+        assert (src.exact_value is not None) == stable
+        near = sorted({e + d for e in edges for d in (-1, 0, 1) if 0 <= e + d <= 160})
+        if data is None:  # deep, then shallow, then deeper
+            reads = [edges[2] + 1, 2, 160]
+        else:
+            depth = st.one_of(st.sampled_from(near), st.integers(0, 160))
+            lo, mid, hi = sorted(data.draw(st.lists(depth, min_size=3, max_size=3)))
+            reads = [mid, lo, hi]
+        for d in reads:
+            assert src.prefix_int(d) == int(ref[:d] or "0", 2)
+            if d:
+                assert src.digit_at(d) == int(ref[d - 1])
+        assert "".join(str(src.digit_at(i)) for i in range(1, 161)) == ref
 
 
 class TestDecoding:

@@ -1,0 +1,12 @@
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run():
+    # a blank line must close each pycon block's last output, or doctest
+    # reads the closing fence as expected output
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0

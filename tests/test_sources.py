@@ -19,6 +19,24 @@ def digits_of(src, depth):
     return "".join(str(src.digit_at(i)) for i in range(1, depth + 1))
 
 
+def pattern_reference(values, tail, depth):
+    """Digits of a run-length mass, written out run by run."""
+    out = ""
+    k = 0
+    while len(out) < depth:
+        k += 1
+        if k <= len(values):
+            u = values[k - 1]
+        elif tail == "repeat-last":
+            u = values[-1]
+        elif tail == "cycle":
+            u = values[(k - 1) % len(values)]
+        else:
+            u = int(tail.split(":")[1])
+        out += str(k % 2) * u
+    return out[:depth]
+
+
 class TestDigitStreams:
     def test_rational_expansions(self):
         assert digits_of(from_rational(1, 3), 8) == "01010101"
@@ -101,13 +119,6 @@ class TestRunLengths:
         with pytest.raises(ValueError):
             RunLengths.from_list([3, 0, 2]).a(3)
 
-    def test_blocks_covering(self):
-        runs = RunLengths.from_list([3, 2, 4])
-        assert runs.blocks_covering(1) == 1
-        assert runs.blocks_covering(3) == 1
-        assert runs.blocks_covering(4) == 2
-        assert runs.blocks_covering(9) == 3
-
     def test_pattern_digits_alternate_by_block(self):
         src = from_run_lengths([2, 3, 1])
         # blocks: 11 000 1, then repeat-last tail 0 1 0 ...
@@ -118,12 +129,48 @@ class TestRunLengths:
         # pass does) must not change which block covers a digit
         runs = RunLengths.from_list([2, 3, 1])
         runs.u(7)
-        assert runs.blocks_covering(1) == 1
-        assert runs.blocks_covering(4) == 2
-        assert runs.blocks_covering(6) == 3
-        assert runs.blocks_covering(9) == 6
         src = from_run_lengths(runs)
         assert digits_of(src, 10) == "1100010101"
+
+    @settings(max_examples=200, deadline=None)
+    @given(u1=st.integers(0, 5), later=st.lists(st.integers(1, 6), max_size=4),
+           tail=st.sampled_from(["repeat-last", "cycle", "constant:1", "constant:4"]),
+           data=st.data())
+    @example(u1=0, later=[2, 1], tail="repeat-last", data=None)
+    @example(u1=3, later=[2, 4], tail="cycle", data=None)
+    def test_blocks_match_digit_by_digit_reference(self, u1, later, tail, data):
+        values = [u1] + later
+        # an empty run is only valid first: no tail may repeat it
+        assume(u1 or (later and tail != "cycle"))
+        ref = pattern_reference(values, tail, 96)
+        edges = [0]
+        for v in values + values:
+            edges.append(edges[-1] + v)
+        near = sorted({e + d for e in edges for d in (-1, 0, 1) if 0 <= e + d <= 96})
+        if data is None:  # deep, then shallow, then deeper, past every seed run
+            reads = [edges[len(values)] + 1, 1, 96]
+        else:
+            depth = st.one_of(st.sampled_from(near), st.integers(0, 96))
+            lo, mid, hi = sorted(data.draw(st.lists(depth, min_size=3, max_size=3)))
+            reads = [mid, lo, hi] + data.draw(st.lists(depth, max_size=3))
+        src = from_run_lengths(RunLengths.from_list(values, tail=tail))
+        deepest = 0
+        for d in reads:
+            assert src.prefix_int(d) == int(ref[:d] or "0", 2)
+            if d:
+                assert src.digit_at(d) == int(ref[d - 1])
+            deepest = max(deepest, d)
+            assert src._depth <= deepest  # a block never reads past a request
+        fresh = from_run_lengths(RunLengths.from_list(values, tail=tail))
+        assert digits_of(fresh, 96) == ref
+
+    def test_huge_run_is_clamped_to_the_request(self):
+        # without the clamp the second block alone would be 2**40 bits
+        runs = RunLengths.from_function(lambda k: 3 if k == 1 else 1 << 40)
+        src = from_run_lengths(runs)
+        assert src.interval(64)[0] == Fraction(7, 8)
+        assert src._prefix.bit_length() <= 64
+        assert run_lengths_from_digits(src, 64) == [3]
 
     def test_run_length_extraction_inverts(self):
         src = from_run_lengths([2, 3, 1, 4])
