@@ -218,7 +218,7 @@ class _AdviceSource(MassSource):
             # 2**jstar; past it f is constant and a >= 0, so they hold.
             head = encode_advice(f, jstar)
             exact = Fraction(7 * int(head, 2) + 1, 7 << len(head))
-        super().__init__(exact_value=exact, non_dyadic=True)
+        super().__init__(exact_value=exact)
         self._f = f
         self._gen = advice_chunks(f)
 
@@ -256,8 +256,8 @@ def read_bound(word_length: int, a, b) -> int:
     return 3 * content + 3 * (m + 1)
 
 
-def decode_advice(stream: Union[str, MassSource, Callable[[int], int]],
-                  word_length: int, a, b) -> tuple[str, int]:
+def decode_advice(stream: Union[str, MassSource], word_length: int,
+                  a, b) -> tuple[str, int]:
     """Recover f(2**m) for 2**(m-1) < word_length <= 2**m.
 
     Reads aligned triples until the (m+1)-st separator, refusing streams
@@ -273,12 +273,9 @@ def decode_advice(stream: Union[str, MassSource, Callable[[int], int]],
             if i > len(stream):
                 raise AdviceCorruptionError("stream ended before the last separator")
             return stream[i - 1]
-    elif isinstance(stream, MassSource):
-        def getbit(i: int) -> str:
-            return str(stream.digit_at(i))
     else:
         def getbit(i: int) -> str:
-            return str(stream(i))
+            return str(stream.digit_at(i))
 
     max_triples = read_bound(word_length, a, b) // 3
     content = []

@@ -51,7 +51,16 @@ def _load_config_file(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    # the keys a run records in its own config block, so that it reads back
+    unknown = sorted(set(data) - set(_config_dict(OracleConfig())))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {', '.join(map(repr, unknown))}")
     return data
+
+
+def _choice(table: dict, text: str):
+    """A flag name ("full"), or the value a config block records ("full-budget")."""
+    return table.get(text) or {e.value: e for e in table.values()}[text]
 
 
 def _resolve_config(args) -> OracleConfig:
@@ -60,7 +69,7 @@ def _resolve_config(args) -> OracleConfig:
     def pick(flag, key, default):
         if flag is not None:
             return flag
-        if key in file_cfg:
+        if file_cfg.get(key) is not None:
             return str(file_cfg[key])
         return default
 
@@ -69,16 +78,17 @@ def _resolve_config(args) -> OracleConfig:
         seed = file_cfg.get("seed")
     if seed is None:
         seed = os.environ.get(SEED_ENV, "0")
-    mode = _MODES[pick(getattr(args, "mode", None), "mode", "errorfree")]
+    mode = _choice(_MODES, pick(getattr(args, "mode", None), "mode", "errorfree"))
     eps_text = pick(getattr(args, "epsilon", None), "epsilon", None)
     return OracleConfig(
         K=parse_fraction(pick(args.K, "K", "1")),
         N=parse_fraction(pick(args.N, "N", "0")),
         mode=mode,
         epsilon=parse_fraction(eps_text) if eps_text is not None else None,
-        wait_policy=_WAITS[pick(getattr(args, "wait", None), "wait_policy", "interrupt")],
-        timeout_reaction=_REACTIONS[pick(getattr(args, "on_timeout", None),
-                                         "timeout_reaction", "return")],
+        wait_policy=_choice(_WAITS, pick(getattr(args, "wait", None),
+                                         "wait_policy", "interrupt")),
+        timeout_reaction=_choice(_REACTIONS, pick(getattr(args, "on_timeout", None),
+                                                  "timeout_reaction", "return")),
         c_setup=parse_fraction(pick(getattr(args, "c_setup", None), "c_setup", "1")),
         timing=pick(getattr(args, "timing", None), "timing", "protocol"),
         launch_speed=parse_fraction(pick(None, "u", "1")),

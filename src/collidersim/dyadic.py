@@ -56,16 +56,6 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def fractional_bit(self, i: int) -> int:
-        """i-th binary digit after the point (i >= 1) of a value in [0, 1]."""
-        if i < 1:
-            raise ValueError("digit positions are 1-indexed")
-        if not 0 <= self.num <= (1 << self.exp):
-            raise ValueError("fractional_bit requires a value in [0, 1]")
-        if i <= self.exp:
-            return (self.num >> (self.exp - i)) & 1
-        return 0
-
     # arithmetic: results stay exact dyadics
 
     def _coerce(self, other) -> "Dyadic":

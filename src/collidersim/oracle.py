@@ -431,9 +431,9 @@ class CollisionOracle:
         """zeta independent repetitions of one query, reported as counts.
 
         Requires FULL_BUDGET accounting (each repetition bills the whole
-        budget) and zero jitter with an exactly-known non-dyadic target
-        for the threshold engine; anything else falls back to running
-        the trials one-by-one through the certified decision path.
+        budget) and zero jitter with an exactly-known target for the
+        threshold engine; anything else falls back to running the
+        trials one-by-one through the certified decision path.
         """
         cfg = self.config
         if zeta < 1:
@@ -448,7 +448,6 @@ class CollisionOracle:
             and cfg.N == 0
             and cfg.timing == "protocol"
             and exact is not None
-            and self.source.non_dyadic
             and z - epsilon >= 0
             and z + epsilon <= 1
         )

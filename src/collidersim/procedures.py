@@ -27,16 +27,14 @@ from .sources import (MassSource, RunLengths, diagonal_run_lengths,
 class Schedule:
     """Total map from word length to waiting budget.
 
-    Built-in constructors produce monotone, easily computed budgets and
-    are flagged time_constructible; a custom callable is accepted as-is
-    and carries no such promise.
+    Built-in constructors produce monotone, easily computed (time
+    constructible) budgets; a custom callable is accepted as-is and
+    carries no such promise.
     """
 
-    def __init__(self, fn: Callable[[int], Fraction], descriptor: str,
-                 time_constructible: bool = False):
+    def __init__(self, fn: Callable[[int], Fraction], descriptor: str):
         self._fn = fn
         self.descriptor = descriptor
-        self.time_constructible = time_constructible
 
     def __call__(self, n: int) -> Fraction:
         if n < 1:
@@ -51,7 +49,7 @@ class Schedule:
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         return Schedule(lambda n: factor * self._fn(n),
-                        f"{self.descriptor}*{factor}", self.time_constructible)
+                        f"{self.descriptor}*{factor}")
 
     def __repr__(self):
         return f"Schedule({self.descriptor})"
@@ -61,7 +59,7 @@ def schedule_exponential(K, shift: int = 0) -> Schedule:
     """T(n) = K * 2**(n + shift)."""
     Kf = to_fraction(K)
     return Schedule(lambda n: Kf * (1 << (n + shift)),
-                    f"exponential:shift={shift}", time_constructible=True)
+                    f"exponential:shift={shift}")
 
 
 def schedule_algebraic(order: int, alpha) -> Schedule:
@@ -74,12 +72,12 @@ def schedule_algebraic(order: int, alpha) -> Schedule:
     if a <= 0:
         raise ValueError("alpha must be positive")
     return Schedule(lambda n: a * n * (1 << (order * n)),
-                    f"algebraic:order={order},alpha={a}", time_constructible=True)
+                    f"algebraic:order={order},alpha={a}")
 
 
 def schedule_constant(value) -> Schedule:
     v = to_fraction(value)
-    return Schedule(lambda n: v, f"constant:{v}", time_constructible=True)
+    return Schedule(lambda n: v, f"constant:{v}")
 
 
 def schedule_tabular(values: Sequence, extend_last: bool = True) -> Schedule:
@@ -94,7 +92,7 @@ def schedule_tabular(values: Sequence, extend_last: bool = True) -> Schedule:
             return vals[-1]
         raise ValueError(f"budget table has no entry for word length {n}")
 
-    return Schedule(fn, f"tabular:{len(vals)} entries", time_constructible=True)
+    return Schedule(fn, f"tabular:{len(vals)} entries")
 
 
 def sufficient_exponential(K, u_max: int) -> Schedule:
@@ -115,7 +113,7 @@ def sufficient_for_rational(K, q: int) -> Schedule:
         raise ValueError("q must be >= 1")
     Kf = to_fraction(K)
     return Schedule(lambda n: Kf * q * (1 << n),
-                    f"rational-sufficient:q={q}", time_constructible=True)
+                    f"rational-sufficient:q={q}")
 
 
 def builtin_schedules(K) -> dict:

@@ -99,32 +99,24 @@ class MassSource:
     """Base digit stream.
 
     A source holds the digits read so far as one prefix int and extends
-    it a block at a time through _block; subclasses implement _digit(n)
-    for n >= 1, or a whole-block _block.  A source whose value is known
-    exactly reads every prefix in closed form instead.
+    it a block at a time through _block, which subclasses implement.  A
+    source whose value is known exactly reads every prefix in closed
+    form instead.
     """
 
     kind = "abstract"
 
     def __init__(self, exact_value: Optional[Fraction] = None,
-                 non_dyadic: Optional[bool] = None,
                  run_lengths: Optional[RunLengths] = None):
         self.exact_value = exact_value
-        self.non_dyadic = non_dyadic
         self.run_lengths = run_lengths
         self._prefix = 0  # the first _depth digits
         self._depth = 0
 
-    def _digit(self, n: int) -> int:
-        raise NotImplementedError
-
     def _block(self, start: int, depth: int) -> str:
         """The next one or more digits after digit `start`, as a 0/1
-        string, in a read towards `depth`.  The default reads one digit."""
-        b = int(self._digit(start + 1))
-        if b not in (0, 1):
-            raise ValueError(f"digit stream produced {b!r}")
-        return "01"[b]
+        string, in a read towards `depth`."""
+        raise NotImplementedError
 
     def digit_at(self, n: int) -> int:
         if n < 1:
@@ -165,36 +157,19 @@ class MassSource:
         return d
 
 
-class _DyadicSource(MassSource):
-    kind = "dyadic"
-
-    def __init__(self, value: Dyadic):
-        if value < 0 or value > 1:
+class _ExactSource(MassSource):
+    def __init__(self, value: Fraction, kind: str):
+        if not 0 <= value <= 1:
             raise ValueError("mass must lie in [0, 1]")
-        super().__init__(exact_value=value.as_fraction(), non_dyadic=False)
-
-
-class _RationalSource(MassSource):
-    kind = "rational"
-
-    def __init__(self, p: int, q: int):
-        if q <= 0:
-            raise ValueError("denominator must be positive")
-        f = Fraction(p, q)
-        if not 0 <= f <= 1:
-            raise ValueError("mass must lie in [0, 1]")
-        den = f.denominator
-        super().__init__(exact_value=f, non_dyadic=(den & (den - 1) != 0))
+        super().__init__(exact_value=value)
+        self.kind = kind
 
 
 class _PatternSource(MassSource):
     kind = "pattern"
 
     def __init__(self, runs: RunLengths):
-        # Blocks alternate starting with ones; every later block is nonempty,
-        # so the stream is never eventually constant: the value is irrational
-        # or at least non-dyadic by construction.
-        super().__init__(non_dyadic=True, run_lengths=runs)
+        super().__init__(run_lengths=runs)
         self._run = 0   # the run the last block came from
         self._left = 0  # its digits not read yet
 
@@ -209,30 +184,36 @@ class _PatternSource(MassSource):
 
 
 class _CustomSource(MassSource):
-    kind = "custom"
-
-    def __init__(self, digit_fn: Callable[[int], int], non_dyadic: Optional[bool] = None,
-                 kind: str = "custom", audit: bool = False):
-        super().__init__(non_dyadic=non_dyadic)
+    def __init__(self, digit_fn: Callable[[int], int], kind: str = "custom",
+                 audit: bool = False):
+        super().__init__()
         self.kind = kind
         self._fn = digit_fn
         self._audit = audit
 
-    def _digit(self, n: int) -> int:
+    def _block(self, start: int, depth: int) -> str:
+        # the rule is opaque: one digit per block
+        n = start + 1
         b = self._fn(n)
         if self._audit:
             again = self._fn(n)
             if again != b:
                 raise RuntimeError(f"digit rule is not pure: digit {n} gave {b} then {again}")
-        return b
+        b = int(b)
+        if b not in (0, 1):
+            raise ValueError(f"digit stream produced {b!r}")
+        return "01"[b]
 
 
 def from_dyadic(value) -> MassSource:
-    return _DyadicSource(value if isinstance(value, Dyadic) else Dyadic.from_fraction(value))
+    d = value if isinstance(value, Dyadic) else Dyadic.from_fraction(value)
+    return _ExactSource(d.as_fraction(), "dyadic")
 
 
 def from_rational(p: int, q: int) -> MassSource:
-    return _RationalSource(p, q)
+    if q <= 0:
+        raise ValueError("denominator must be positive")
+    return _ExactSource(Fraction(p, q), "rational")
 
 
 def from_run_lengths(runs) -> MassSource:
@@ -241,9 +222,9 @@ def from_run_lengths(runs) -> MassSource:
     return _PatternSource(runs)
 
 
-def custom(digit_fn: Callable[[int], int], non_dyadic: Optional[bool] = None,
-           kind: str = "custom", audit: bool = False) -> MassSource:
-    return _CustomSource(digit_fn, non_dyadic=non_dyadic, kind=kind, audit=audit)
+def custom(digit_fn: Callable[[int], int], kind: str = "custom",
+           audit: bool = False) -> MassSource:
+    return _CustomSource(digit_fn, kind=kind, audit=audit)
 
 
 def run_length_blocks(bits: str) -> list[int]:
@@ -263,19 +244,6 @@ def run_length_blocks(bits: str) -> list[int]:
             count = 1
     blocks.append(count)
     return blocks
-
-
-def run_lengths_from_digits(src: MassSource, depth: int) -> list[int]:
-    """Extract the leading run-length blocks visible in the first `depth` digits.
-
-    The final block is truncated by the horizon, so only blocks that end
-    strictly inside the prefix are reported.
-    """
-    if depth < 1:
-        return []
-    # the unit mass reads 1 before the point; keep its fractional digits
-    bits = format(src.prefix_int(depth), f"0{depth}b")[-depth:]
-    return run_length_blocks(bits)[:-1]
 
 
 def refine(depth: int, cap: int,
@@ -451,12 +419,7 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
     if src.exact_value is not None:
         # a dyadic image of a non-dyadic source sits on a cell boundary
         # that no finite prefix of the source settles
-        image = off + sc * src.exact_value
-        if not 0 <= image <= 1:
-            raise ValueError("affine image leaves [0, 1]")
-        out = _RationalSource(image.numerator, image.denominator)
-        out.kind, out.non_dyadic = kind, src.non_dyadic
-        return out
+        return _ExactSource(off + sc * src.exact_value, kind)
 
     def digit_fn(n: int) -> int:
         def settle(depth: int) -> Optional[int]:
@@ -476,7 +439,7 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
                                "digits; the image may be dyadic")
         return bit
 
-    return _CustomSource(digit_fn, non_dyadic=src.non_dyadic, kind=kind)
+    return _CustomSource(digit_fn, kind=kind)
 
 
 # ---------------------------------------------------------------------------

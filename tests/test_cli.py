@@ -208,6 +208,29 @@ class TestConfigFile:
         main(base + ["--K", "1"])
         assert "waiting time: 6" in capsys.readouterr().out   # flag wins
 
+    @pytest.mark.parametrize("entry", [{"wait": "full"}, {"seeed": 5}],
+                             ids=["wait", "seeed"])
+    def test_unknown_key_is_config_error(self, entry, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry), encoding="utf-8")
+        code = main(["measure", "--mass", "rational:1/3", "--procedure",
+                     "grid", "--level", "2", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert repr(next(iter(entry))) in capsys.readouterr().err
+
+    def test_run_config_block_reads_back(self, tmp_path, capsys):
+        # a run's own config block ("error-free", "full-budget", a null
+        # epsilon), fed back as a file, repeats the run
+        run = ["measure", "--mass", "rational:1/3", "--procedure", "grid",
+               "--level", "2"]
+        first = ["--K", "2", "--seed", "7", "--wait", "full", "--out", str(tmp_path / "a")]
+        assert main(run + first) == EXIT_OK
+        report = read(tmp_path / "a" / "report.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads(report)["config"]), encoding="utf-8")
+        assert main(run + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert read(tmp_path / "b" / "report.json") == report
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")

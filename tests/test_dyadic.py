@@ -37,7 +37,7 @@ class TestCanonicalForm:
         with pytest.raises(AttributeError):
             Dyadic(1, 1).num = 5
 
-    def test_from_fraction_rejects_non_dyadic(self):
+    def test_from_fraction_rejects_one_third(self):
         with pytest.raises(ValueError):
             Dyadic.from_fraction(Fraction(1, 3))
 
@@ -76,20 +76,6 @@ class TestArithmetic:
     def test_midpoint(self):
         assert midpoint(ZERO, ONE) == Dyadic(1, 1)
         assert midpoint(Dyadic(1, 2), Dyadic(1, 1)) == Dyadic(3, 3)
-
-
-class TestFractionalBits:
-    def test_digits_of_three_quarters(self):
-        d = Dyadic(3, 2)
-        assert [d.fractional_bit(i) for i in range(1, 5)] == [1, 1, 0, 0]
-
-    def test_terminating_expansion_for_one(self):
-        # canonical streams terminate: 1 = 1.000..., never 0.111...
-        assert [ONE.fractional_bit(i) for i in range(1, 4)] == [0, 0, 0]
-
-    def test_requires_unit_interval(self):
-        with pytest.raises(ValueError):
-            Dyadic(5, 1).fractional_bit(1)
 
 
 class TestWords:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from collidersim import rng
@@ -11,9 +11,9 @@ from collidersim.collision import Outcome
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
                                 PrecisionMode, TimeoutExceeded,
                                 TimeoutReaction, WaitPolicy, timeout_window)
-from collidersim.sources import (RunLengths, custom, from_dyadic,
-                                 from_rational, from_run_lengths)
-from collidersim.dyadic import Dyadic
+from collidersim.sources import (RunLengths, affine_of_source, custom,
+                                 from_dyadic, from_rational, from_run_lengths)
+from collidersim.dyadic import Dyadic, word_to_dyadic
 
 
 def third_as_stream():
@@ -114,7 +114,7 @@ class TestProbedQueries:
     def test_probe_cap_forces_timeout(self):
         # digits of exactly 1/2, but presented without an exact value:
         # no finite prefix separates it from z = 1/2
-        half = custom(lambda n: 1 if n == 1 else 0, non_dyadic=False)
+        half = custom(lambda n: 1 if n == 1 else 0)
         cfg = OracleConfig(probe_depth_cap=64)
         oracle = CollisionOracle(half, cfg)
         # 64 digits pin the distance below 2**-63, which certifies an
@@ -240,6 +240,46 @@ class TestBatchedQueries:
         assert b2.engine.startswith("thresholds")
         assert (b1.n_lesser, b1.n_greater, b1.n_timeout) == \
             (b2.n_lesser, b2.n_greater, b2.n_timeout)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["dyadic", "rational", "affine"]),
+           mu=st.integers(0, 12).flatmap(
+               lambda e: st.tuples(st.integers(0, 1 << e), st.just(e))),
+           word=st.text("01", min_size=1, max_size=6),
+           eps_bits=st.integers(1, 8),
+           budget=st.tuples(st.integers(1, 1 << 12), st.integers(1, 16)),
+           zeta=st.integers(1, 300), seed=st.integers(0, 2**16))
+    # 0 + 3/4 * (1/3) = 1/4: a dyadic image of a non-dyadic source
+    @example(kind="affine", mu=(1, 2), word="1", eps_bits=2, budget=(4, 1),
+             zeta=64, seed=0)
+    # mu - eta = z - eps and mu + eta = z + eps: every draw times out
+    @example(kind="dyadic", mu=(1, 1), word="1", eps_bits=2, budget=(4, 1),
+             zeta=64, seed=0)
+    # mu - eta = z - eps, mu + eta inside the draw window
+    @example(kind="rational", mu=(3, 3), word="1", eps_bits=2, budget=(8, 1),
+             zeta=64, seed=0)
+    def test_exact_dyadic_targets_use_the_kernel(self, kind, mu, word, eps_bits,
+                                                 budget, zeta, seed):
+        mu = Fraction(mu[0], 1 << mu[1])
+        if kind == "dyadic":
+            src = from_dyadic(mu)
+        elif kind == "rational":
+            src = from_rational(mu.numerator, mu.denominator)
+        else:
+            assume(mu <= Fraction(3, 4))
+            src = affine_of_source(0, Fraction(3, 4),
+                                   from_rational(4 * mu.numerator, 3 * mu.denominator))
+        word = "0" + word
+        z = word_to_dyadic(word).as_fraction()
+        eps = Fraction(1, 1 << eps_bits)
+        assume(0 <= z - eps and z + eps <= 1)
+        budget = Fraction(*budget)
+        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY,
+                           wait_policy=WaitPolicy.FULL_BUDGET, seed=seed)
+        batch = CollisionOracle(src, cfg).batch_query(word, budget, zeta, epsilon=eps)
+        assert batch.engine == "thresholds-py"
+        want = self.brute_counts(seed, 0, zeta, z, eps, mu, cfg.K / budget)
+        assert (batch.n_lesser, batch.n_greater, batch.n_timeout) == want
 
     def test_batch_requires_full_budget(self):
         oracle = CollisionOracle(from_rational(1, 3))

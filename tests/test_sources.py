@@ -11,8 +11,7 @@ from collidersim.sources import (GapProbe, MassSource, RunLengths,
                                  diagonal_run_lengths, distance_bracket,
                                  from_dyadic, from_rational, from_run_lengths,
                                  gap_probe, load_mass_file, parse_fraction,
-                                 parse_mass_spec, refine,
-                                 run_lengths_from_digits)
+                                 parse_mass_spec, refine, run_length_blocks)
 
 
 def digits_of(src, depth):
@@ -76,10 +75,6 @@ class TestDigitStreams:
             lo, hi = src.interval(d)
             assert lo <= src.exact_value < hi
             assert hi - lo == Fraction(1, 1 << d)
-
-    def test_non_dyadic_flag(self):
-        assert from_rational(1, 3).non_dyadic
-        assert not from_rational(3, 8).non_dyadic
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -170,15 +165,13 @@ class TestRunLengths:
         src = from_run_lengths(runs)
         assert src.interval(64)[0] == Fraction(7, 8)
         assert src._prefix.bit_length() <= 64
-        assert run_lengths_from_digits(src, 64) == [3]
 
     def test_run_length_extraction_inverts(self):
         src = from_run_lengths([2, 3, 1, 4])
         # a block counts as complete only once the flip ending it is seen,
         # so the view must reach into block five
-        assert run_lengths_from_digits(src, 11) == [2, 3, 1, 4]
-        assert run_lengths_from_digits(src, 10) == [2, 3, 1]
-        assert run_lengths_from_digits(src, 9) == [2, 3, 1]
+        for depth, complete in ((11, [2, 3, 1, 4]), (10, [2, 3, 1]), (9, [2, 3, 1])):
+            assert run_length_blocks(digits_of(src, depth))[:-1] == complete
 
 
 class TestDistanceBrackets:
