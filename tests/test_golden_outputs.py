@@ -4,7 +4,9 @@ Each case runs `cli.main` in-process with `--out` and compares the sha256
 of every file the run wrote against digests recorded before the L1-L2
 refactor that merged the bracket-deepening loops, the timing law and the
 numeric helpers; the kernel-path `estimate-kernel` case was recorded
-before the optional compiled counting engine was retired.  Any change to a transcript, report, estimate, advice
+before the optional compiled counting engine was retired, and
+`grid-exact-abort` before the grid sweep summed its simulated time in
+closed form.  Any change to a transcript, report, estimate, advice
 payload or manifest byte shows up here.  The runs are relative to a
 temporary working directory so no absolute path reaches a result file.
 """
@@ -31,6 +33,12 @@ CASES = {
                                      "--timing", "kinematic", "--seed", "1"],
     "grid": ["measure", "--mass", "pattern:3,2,4", "--procedure", "grid",
              "--level", "5", "--wait", "full", "--seed", "0"],
+    # an exact-target sweep with non-default K and c_setup under abort:
+    # the grid point 1/16 times out and the sweep reads on past it
+    "grid-exact-abort": ["measure", "--mass", "dyadic:8193/131072",
+                         "--procedure", "grid", "--level", "4", "--wait", "full",
+                         "--K", "3/2", "--c-setup", "2/3",
+                         "--on-timeout", "abort", "--seed", "0"],
     # an embedded pattern parameter has no exact value, so the estimator
     # runs the per-trial engine
     "estimate": ["estimate", "--mass", "pattern:2,1,3", "--k", "1",
@@ -104,6 +112,14 @@ GOLDEN = {
             "5269bafefa07111efa96c281877d8932a5ca959ccce635e3799a41a955867e31",
         "transcript.jsonl":
             "642e98abf45cf66bb8248b6b34ae8671bbac0a9fb8a0639c07e02177f6bc96db",
+    },
+    "grid-exact-abort": {
+        "manifest.json":
+            "92090f9aa12529c3b4bbc5a81a3095541707b8fd53421b5b70edcea7271fc886",
+        "report.json":
+            "e78bb6ac278d7592c4d4f5a00b8f0ec0e03b10b68a5f2367a7f39b489687c24d",
+        "transcript.jsonl":
+            "a524ff6e6e6d9c425a9829e0ee5dc275b226830e6fea2e69f4fcb2ce2221b31c",
     },
 }
 
