@@ -63,7 +63,8 @@ def _choice(table: dict, text: str):
     return table.get(text) or {e.value: e for e in table.values()}[text]
 
 
-def _resolve_config(args) -> OracleConfig:
+def _resolve_config(args, mode="errorfree", wait="interrupt") -> OracleConfig:
+    """Flags first, then the --config file, then the command's own defaults."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
 
     def pick(flag, key, default):
@@ -78,15 +79,13 @@ def _resolve_config(args) -> OracleConfig:
         seed = file_cfg.get("seed")
     if seed is None:
         seed = os.environ.get(SEED_ENV, "0")
-    mode = _choice(_MODES, pick(getattr(args, "mode", None), "mode", "errorfree"))
     eps_text = pick(getattr(args, "epsilon", None), "epsilon", None)
     return OracleConfig(
         K=parse_fraction(pick(args.K, "K", "1")),
         N=parse_fraction(pick(args.N, "N", "0")),
-        mode=mode,
+        mode=_choice(_MODES, pick(getattr(args, "mode", None), "mode", mode)),
         epsilon=parse_fraction(eps_text) if eps_text is not None else None,
-        wait_policy=_choice(_WAITS, pick(getattr(args, "wait", None),
-                                         "wait_policy", "interrupt")),
+        wait_policy=_choice(_WAITS, pick(getattr(args, "wait", None), "wait_policy", wait)),
         timeout_reaction=_choice(_REACTIONS, pick(getattr(args, "on_timeout", None),
                                                   "timeout_reaction", "return")),
         c_setup=parse_fraction(pick(getattr(args, "c_setup", None), "c_setup", "1")),
@@ -170,11 +169,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.mode is None:
-        args.mode = "fixed"
-    if args.wait is None:
-        args.wait = "full"
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, mode="fixed", wait="full")
     if cfg.epsilon is None:
         raise ValueError("estimate needs --epsilon (the fixed tolerance)")
     s_source = parse_mass_spec(args.mass)

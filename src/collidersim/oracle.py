@@ -225,6 +225,8 @@ class CollisionOracle:
         self.source = source
         self.config = config or OracleConfig()
         self.transcript: list = []
+        # c_setup * word length, built once per length; records share them
+        self._setup: dict = {}
 
     # -- draws ------------------------------------------------------------
 
@@ -272,7 +274,9 @@ class CollisionOracle:
             elapsed = budget
         else:
             elapsed = arrival
-        setup = cfg.c_setup * len(word)
+        setup = self._setup.get(len(word))
+        if setup is None:
+            setup = self._setup[len(word)] = cfg.c_setup * len(word)
 
         if epsilon is None:
             interval = (z, z)
@@ -301,8 +305,10 @@ class CollisionOracle:
         cfg = self.config
         z = word_to_dyadic(word).as_fraction()
         budget = to_fraction(budget)
-        if budget <= 0:
+        if budget.numerator <= 0:
             raise ConfigError("budget must be positive")
+        if epsilon is None and cfg.mode is PrecisionMode.ERROR_FREE:
+            return z, budget, None
         if cfg.mode is PrecisionMode.FIXED:
             if epsilon is not None and to_fraction(epsilon) != cfg.epsilon:
                 raise ConfigError("FIXED mode pins every query to the global epsilon")
@@ -330,7 +336,7 @@ class CollisionOracle:
         infinite digit tail.
         """
         deadline = budget - jitter if jitter else budget
-        if deadline <= 0:
+        if deadline.numerator <= 0:
             return Outcome.TIMEOUT, None, None
 
         exact = self.source.exact_value
@@ -342,7 +348,7 @@ class CollisionOracle:
         if diff == 0:
             return Outcome.TIMEOUT, None, None
         gn, gd = abs(diff), m_star.denominator * exact.denominator
-        law = self._law(m_star, exact)
+        law = self.config.K if self.config.timing == "protocol" else self._law(m_star, exact)
         if law.numerator * gd * deadline.denominator >= deadline.numerator * gn * law.denominator:
             return Outcome.TIMEOUT, None, None
         side = Outcome.LESSER if diff < 0 else Outcome.GREATER

@@ -231,8 +231,7 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     digits = []
     stage_elapsed = []
     timed_out_at = None
-    total = Fraction(0)
-    setup = Fraction(0)
+    length = 0
     for stage in range(1, n_digits + 1):
         mid = midpoint(m1, m2)
         word = dyadic_to_word(mid)
@@ -242,8 +241,7 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
             rec = oracle.query(word, budget, epsilon=eps)
         except TimeoutExceeded as exc:
             rec = exc.record
-        total += rec.elapsed
-        setup += rec.setup
+        length += len(word)
         stage_elapsed.append(rec.elapsed)
         if rec.outcome is Outcome.TIMEOUT:
             timed_out_at = stage
@@ -256,8 +254,8 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
             m2 = mid
     return MeasurementReport(
         procedure="bisection", digits="".join(digits), requested=n_digits,
-        timed_out_at=timed_out_at, total_time=total, total_setup=setup,
-        stage_elapsed=stage_elapsed,
+        timed_out_at=timed_out_at, total_time=sum(stage_elapsed, Fraction(0)),
+        total_setup=cfg.c_setup * length, stage_elapsed=stage_elapsed,
         details={"schedule": schedule.descriptor},
     )
 
@@ -282,21 +280,16 @@ def grid_sweep(oracle: CollisionOracle, r: int) -> MeasurementReport:
         raise ConfigError("the grid sweep waits out every budget (rendezvous "
                           "accounting); use WaitPolicy.FULL_BUDGET")
     budget = cfg.K * (1 << (2 * r + 1))
-    total = Fraction(0)
-    setup = Fraction(0)
-    stage_elapsed = []
+    n_points = (1 << r) + 1
     timeouts = []
     lesser_max = None
     greater_min = None
-    for p in range(0, (1 << r) + 1):
+    for p in range(n_points):
         word = "0" + format(p, f"0{r}b") if p < (1 << r) else "1"
         try:
             rec = oracle.query(word, budget)
         except TimeoutExceeded as exc:
             rec = exc.record
-        total += rec.elapsed
-        setup += rec.setup
-        stage_elapsed.append(rec.elapsed)
         if rec.outcome is Outcome.TIMEOUT:
             timeouts.append(p)
         elif rec.outcome is Outcome.LESSER:
@@ -306,10 +299,13 @@ def grid_sweep(oracle: CollisionOracle, r: int) -> MeasurementReport:
     ok = (not timeouts and lesser_max is not None and greater_min is not None
           and greater_min == lesser_max + 1)
     digits = format(lesser_max, f"0{r}b") if ok else ""
+    # full-budget billing fixes every query's cost before the sweep: it
+    # waits out the budget, and every word has r + 1 digits except "1"
     return MeasurementReport(
         procedure="grid-sweep", digits=digits, requested=r,
-        timed_out_at=None if ok else r, total_time=total, total_setup=setup,
-        stage_elapsed=stage_elapsed,
+        timed_out_at=None if ok else r, total_time=budget * n_points,
+        total_setup=cfg.c_setup * ((r + 1) * (1 << r) + 1),
+        stage_elapsed=[budget] * n_points,
         details={"level": r, "grid_timeouts": timeouts,
                  "bracket": [lesser_max, greater_min]},
     )

@@ -218,6 +218,19 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert repr(next(iter(entry))) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [{"mode": "arbitrary"},
+                                       {"wait_policy": "interrupt"}],
+                             ids=["mode", "wait_policy"])
+    def test_estimate_keeps_file_mode_and_wait(self, entry, tmp_path, capsys):
+        # the estimator's own defaults (fixed, full) must not override a
+        # file that asks for something else; the estimator then refuses it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry), encoding="utf-8")
+        code = main(["estimate", "--mass", "rational:1/3", "--k", "1",
+                     "--epsilon", "1/8", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert "digit estimation" in capsys.readouterr().err
+
     def test_run_config_block_reads_back(self, tmp_path, capsys):
         # a run's own config block ("error-free", "full-budget", a null
         # epsilon), fed back as a file, repeats the run

@@ -178,6 +178,51 @@ class TestNoisyModes:
         assert abs(rec.hidden["jitter"]) <= Fraction(1, 8)
 
 
+class TestQueryArgumentChecks:
+    """Bad budgets and tolerances are refused in every precision mode,
+    including error-free queries without a tolerance, which skip the
+    tolerance checks."""
+
+    @staticmethod
+    def oracle(mode):
+        eps = Fraction(1, 64) if mode is PrecisionMode.FIXED else None
+        return CollisionOracle(from_rational(1, 3), OracleConfig(mode=mode, epsilon=eps))
+
+    @pytest.mark.parametrize("budget", [0, -1, Fraction(-1, 3), "0"])
+    @pytest.mark.parametrize("mode", list(PrecisionMode), ids=str)
+    def test_nonpositive_budget(self, mode, budget):
+        oracle = self.oracle(mode)
+        eps = Fraction(1, 64) if mode is PrecisionMode.ARBITRARY else None
+        with pytest.raises(ConfigError, match="budget"):
+            oracle.query("01", budget, epsilon=eps)
+        assert oracle.transcript == []
+
+    @pytest.mark.parametrize("mode, epsilon", [
+        (PrecisionMode.ERROR_FREE, 0),
+        (PrecisionMode.ERROR_FREE, Fraction(-1, 8)),
+        (PrecisionMode.ARBITRARY, 0),
+        (PrecisionMode.FIXED, "1/32"),
+    ], ids=["error-free-0", "error-free-negative", "arbitrary-0", "fixed-mismatch"])
+    def test_rejected_epsilon(self, mode, epsilon):
+        oracle = self.oracle(mode)
+        with pytest.raises(ConfigError, match="epsilon"):
+            oracle.query("01", 10, epsilon=epsilon)
+        assert oracle.transcript == []
+
+    @pytest.mark.parametrize("make_source", [lambda: from_rational(1, 3),
+                                             third_as_stream],
+                             ids=["exact", "stream"])
+    def test_jitter_past_the_budget_times_out(self, make_source):
+        # seed 6 draws jitter ~0.886 from [-1, 1], so the deadline
+        # budget - jitter is negative
+        cfg = OracleConfig(N=Fraction(1), seed=6, record_hidden=True)
+        rec = CollisionOracle(make_source(), cfg).query("01", Fraction(1, 2))
+        assert rec.hidden["jitter"] >= rec.budget
+        assert rec.outcome is Outcome.TIMEOUT
+        assert rec.elapsed == rec.budget == Fraction(1, 2)
+        assert rec.probe_depth is None
+
+
 class TestTimeoutReaction:
     def test_abort_raises_with_record(self):
         cfg = OracleConfig(timeout_reaction=TimeoutReaction.ABORT)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
                                 PrecisionMode, TimeoutReaction, WaitPolicy)
@@ -181,6 +183,49 @@ class TestGridSweep:
         assert report.complete
         assert report.digits == "010"
         assert report.details["level"] == 5
+
+
+class TestClosedFormAccounting:
+    """A report's simulated-time totals equal the sums over the records
+    its run appended, whether the procedure adds them up or derives them
+    in closed form."""
+
+    @staticmethod
+    def check(oracle, report, start, before):
+        recs = oracle.transcript[start:]
+        assert report.stage_elapsed == [rec.elapsed for rec in recs]
+        assert report.total_time == sum((rec.elapsed for rec in recs), Fraction(0))
+        assert report.total_setup == sum((rec.setup for rec in recs), Fraction(0))
+        assert all(rec.setup == oracle.config.c_setup * len(rec.word) for rec in recs)
+        assert oracle.total_elapsed - before == report.total_time + report.total_setup
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 6),
+           K=st.fractions(Fraction(1, 8), 8, max_denominator=12),
+           c_setup=st.fractions(0, 4, max_denominator=12),
+           extra=st.fractions(Fraction(1, 12), 4, max_denominator=12),
+           target=st.one_of(
+               st.integers(0, 8).flatmap(lambda e: st.integers(0, 1 << e).map(
+                   lambda p: from_dyadic(Dyadic(p, e)))),
+               st.integers(1, 60).flatmap(lambda q: st.integers(0, q).map(
+                   lambda p: from_rational(p, q)))),
+           reaction=st.sampled_from(list(TimeoutReaction)),
+           wait=st.sampled_from(list(WaitPolicy)),
+           shift=st.integers(0, 4))
+    def test_totals_are_the_record_sums(self, r, K, c_setup, extra, target,
+                                        reaction, wait, shift):
+        schedule = schedule_exponential(K, shift)
+        runs = [(lambda o: grid_sweep(o, r), WaitPolicy.FULL_BUDGET),
+                (lambda o: bisection(o, r, schedule), wait)]
+        for run, policy in runs:
+            # two live oracles with different setup costs take turns, so a
+            # setup cost shared between oracles would show
+            oracles = [CollisionOracle(target, OracleConfig(
+                K=K, c_setup=c, wait_policy=policy, timeout_reaction=reaction))
+                for c in (c_setup, c_setup + extra)]
+            for oracle in oracles + oracles:
+                start, before = len(oracle.transcript), oracle.total_elapsed
+                self.check(oracle, run(oracle), start, before)
 
 
 class TestConstantBudget:
