@@ -6,7 +6,8 @@ refactor that merged the bracket-deepening loops, the timing law and the
 numeric helpers; the kernel-path `estimate-kernel` case was recorded
 before the optional compiled counting engine was retired, and
 `grid-exact-abort` before the grid sweep summed its simulated time in
-closed form.  Any change to a transcript, report, estimate, advice
+closed form, and `bisection-arbitrary-interrupt` before the probed
+decision, the clock reading and the mass draw went to integers.  Any change to a transcript, report, estimate, advice
 payload or manifest byte shows up here.  The runs are relative to a
 temporary working directory so no absolute path reaches a result file.
 """
@@ -27,6 +28,10 @@ CASES = {
                                                 "--N", "1/16"],
     "bisection-arbitrary-full": PATTERN_BISECTION + ["--mode", "arbitrary",
                                                      "--wait", "full"],
+    # drawn masses, jitter and kinematic clock readings of answered queries
+    "bisection-arbitrary-interrupt": PATTERN_BISECTION + [
+        "--mode", "arbitrary", "--timing", "kinematic", "--N", "1/16",
+        "--K", "3/2"],
     # an exactly-known target takes the closed-form arrival path
     "bisection-rational-kinematic": ["measure", "--mass", "rational:5/7",
                                      "--digits", "30", "--schedule", "exp:k=3",
@@ -64,6 +69,14 @@ GOLDEN = {
             "5e8ab4e1c153e1765866938ff2d4477ceb84209d5406d5da01215277100c2704",
         "transcript.jsonl":
             "0db06510d4559444a57e4ce3bf095cd1175736a03fb115eb789318f42ffa36b2",
+    },
+    "bisection-arbitrary-interrupt": {
+        "manifest.json":
+            "b7c8e35b7d21fa482ea405c5205807f6cf961da9e0029e612d0160a3c6bc535d",
+        "report.json":
+            "7464176b7a011b625f8ff22a24e0b06a63b748b81589b3e9a10163eaa601715d",
+        "transcript.jsonl":
+            "55ff003caea4f27e13db56000fe7c2fd0c40c66f47d608b35fe312814d574529",
     },
     "bisection-interrupt": {
         "manifest.json":
