@@ -231,7 +231,8 @@ def _add_oracle_args(sp) -> None:
     sp.add_argument("--wait", choices=sorted(_WAITS),
                     help="billing: interrupt at the flag or wait out the budget")
     sp.add_argument("--on-timeout", dest="on_timeout", choices=sorted(_REACTIONS),
-                    help="return timeout records or abort the run")
+                    help="whether a timed-out oracle query returns its record or "
+                         "raises; measure records the timeout either way")
     sp.add_argument("--timing", choices=["protocol", "kinematic"],
                     help="arrival law: protocol K/gap or kinematic traversal")
     sp.add_argument("--c-setup", dest="c_setup",

@@ -33,11 +33,12 @@ from . import rng
 from .collision import Outcome
 # validate_word runs inside word_to_dyadic; the name stays importable here
 # because perfbench/spans.py traces it at the oracle's lookup name
-from .dyadic import (bits_above, fraction_text, to_fraction, validate_word,  # noqa: F401
+from .dyadic import (fraction_text, to_fraction, validate_word,  # noqa: F401
                      word_to_dyadic)
-from .sources import MassSource, distance_bracket, refine
+from .sources import MassSource, distance_bracket, prefix_bracket, refine
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class PrecisionMode(enum.Enum):
@@ -153,14 +154,19 @@ class QueryRecord:
     setup: Fraction
     epsilon: Optional[Fraction] = None
     probe_depth: Optional[int] = None
-    # what the experimenter knows about the realized projectile mass:
-    # a single point when error-free, the tolerance window otherwise
-    mass_interval: tuple = ()
     hidden: dict = field(default_factory=dict, repr=False)
 
     @property
     def total_time(self) -> Fraction:
         return self.elapsed + self.setup
+
+    @property
+    def mass_interval(self) -> tuple:
+        """What the experimenter knows about the realized projectile mass:
+        a single point when error-free, the tolerance window otherwise."""
+        if self.epsilon is None:
+            return self.z, self.z
+        return max(_ZERO, self.z - self.epsilon), min(_ONE, self.z + self.epsilon)
 
     def to_dict(self) -> dict:
         d = {
@@ -238,14 +244,17 @@ class CollisionOracle:
         if epsilon is None:
             raise ConfigError("this precision mode needs a tolerance")
         r = rng.raw64(cfg.seed, stream, 2 * trial)
-        m_star = z - epsilon + 2 * epsilon * Fraction(r, 1 << 64)
+        # z - eps + 2 eps r / 2**64 over the common denominator zd ed 2**64
+        zn, zd, en, ed = z.numerator, z.denominator, epsilon.numerator, epsilon.denominator
+        num = ((zn * ed - en * zd) << 64) + 2 * en * zd * r
+        den = zd * ed << 64
         # clip at the domain boundary; only reachable when the tolerance
         # window leaves [0, 1], and boundary hits have probability zero
-        if m_star < 0:
-            return Fraction(0)
-        if m_star > 1:
-            return Fraction(1)
-        return m_star
+        if num < 0:
+            return _ZERO
+        if num > den:
+            return _ONE
+        return Fraction(num, den)
 
     def _draw_jitter(self, stream: int, trial: int = 0) -> Fraction:
         cfg = self.config
@@ -278,14 +287,10 @@ class CollisionOracle:
         if setup is None:
             setup = self._setup[len(word)] = cfg.c_setup * len(word)
 
-        if epsilon is None:
-            interval = (z, z)
-        else:
-            interval = (max(Fraction(0), z - epsilon), min(Fraction(1), z + epsilon))
         record = QueryRecord(
             index=index, word=word, z=z, z_length=len(word), budget=budget,
             outcome=outcome, elapsed=elapsed, setup=setup,
-            epsilon=epsilon, probe_depth=depth, mass_interval=interval,
+            epsilon=epsilon, probe_depth=depth,
         )
         if cfg.record_hidden:
             record.hidden["m_star"] = m_star
@@ -344,50 +349,57 @@ class CollisionOracle:
             return self._decide_probed(m_star, jitter, deadline, need_arrival)
         # law/gap < deadline in cross-multiplied integers, where
         # gap = |m* - mu| = |diff| / gd
-        diff = m_star.numerator * exact.denominator - exact.numerator * m_star.denominator
+        mn, md, un, ud = m_star.numerator, m_star.denominator, exact.numerator, exact.denominator
+        diff = mn * ud - un * md
         if diff == 0:
             return Outcome.TIMEOUT, None, None
-        gn, gd = abs(diff), m_star.denominator * exact.denominator
-        law = self.config.K if self.config.timing == "protocol" else self._law(m_star, exact)
-        if law.numerator * gd * deadline.denominator >= deadline.numerator * gn * law.denominator:
+        gn, gd = abs(diff), md * ud
+        ln, ld = self._law(mn, md, un, ud)
+        if ln * gd * deadline.denominator >= deadline.numerator * gn * ld:
             return Outcome.TIMEOUT, None, None
         side = Outcome.LESSER if diff < 0 else Outcome.GREATER
         if not need_arrival:
             return side, None, None
-        return side, Fraction(law.numerator * gd, law.denominator * gn) + jitter, None
+        return side, Fraction(ln * gd, ld * gn) + jitter, None
 
-    def _law(self, m_star: Fraction, mu) -> Fraction:
-        """Arrival time times |m* - mu|: K under protocol timing, and
-        (r/u) * (m* + mu) under kinematic timing, which alone reads mu."""
+    def _law(self, mn: int, md: int, un: int, ud: int) -> tuple[int, int]:
+        """Arrival time times |m* - mu| as an unreduced n/d, for m* = mn/md
+        and mu = un/ud: K under protocol timing, and (r/u) * (m* + mu) under
+        kinematic timing, which alone reads mu.  law(0, 1) is the constant c."""
         cfg = self.config
         if cfg.timing == "protocol":
-            return cfg.K
-        return cfg.flag_distance / cfg.launch_speed * (m_star + mu)
+            return cfg.K.numerator, cfg.K.denominator
+        r, u = cfg.flag_distance, cfg.launch_speed
+        return (r.numerator * u.denominator * (mn * ud + un * md),
+                r.denominator * u.numerator * md * ud)
 
-    def _arrival_bounds(self, m_star: Fraction, depth: int):
-        """(side, earliest, latest) arrival certified by a depth-d prefix.
-
-        side is the sign of m* - mu once the prefix separates them, else 0;
-        latest is None until the certified gap is positive.
-        """
-        a, b, side = distance_bracket(self.source, m_star, depth)
-        lo = hi = None
-        if self.config.timing != "protocol":
-            lo, hi = self.source.interval(depth)
-        latest = self._law(m_star, hi) / a if side != 0 and a > 0 else None
-        return side, self._law(m_star, lo) / b, latest
+    def _arrival_bounds(self, mn: int, md: int, depth: int):
+        """(side, a, b, x_lo, x_hi) from a depth-d prefix, for m* = mn/md:
+        prefix_bracket over D = md * 2**depth, and every arrival lies in
+        [c x_lo / b, c x_hi / a], with x = D under protocol timing and
+        D (m* + mu) over the prefix interval under kinematic timing."""
+        p = self.source.prefix_int(depth)
+        side, a, b = prefix_bracket(p, mn, md, depth)
+        if self.config.timing == "protocol":
+            x = md << depth
+            return side, a, b, x, x
+        x = (mn << depth) + p * md
+        return side, a, b, x, x + md
 
     def _decide_probed(self, m_star, jitter, deadline, need_arrival=True):
+        mn, md = m_star.numerator, m_star.denominator
+        cn, cd = self._law(0, 1, 1, 1)
+        tn, td = deadline.numerator, deadline.denominator
         # digits enough to see the smallest gap that could still answer,
         # from arrival >= law(m*, 0) / gap
-        floor_law = self._law(m_star, 0)
-        start = max(8, bits_above(deadline / floor_law) + 2) if floor_law else 8
+        fn, fd = self._law(mn, md, 0, 1)
+        start = max(8, (tn * fd // (td * fn)).bit_length() + 2) if fn else 8
 
         def settle(depth: int):
-            side, earliest, latest = self._arrival_bounds(m_star, depth)
-            if latest is not None and latest < deadline:
+            side, a, b, x_lo, x_hi = self._arrival_bounds(mn, md, depth)
+            if a and cn * x_hi * td < tn * a * cd:
                 return Outcome.LESSER if side < 0 else Outcome.GREATER
-            if earliest >= deadline:
+            if cn * x_lo * td >= tn * b * cd:
                 return Outcome.TIMEOUT
             return None
 
@@ -409,27 +421,31 @@ class CollisionOracle:
 
         Past depth_hint the certified gap a only grows, and the enclosure
         at depth d is at most 4 law(m*, 1) 2**-d / a**2 wide, so every
-        d >= need fits it inside a tick.  The digit horizon is the first
-        doubling of depth_hint that reaches both need and four times the
-        probe cap.
+        d >= need = bits_above(4 law(m*, 1) 2**48 / a**2) fits it inside a
+        tick.  The digit horizon is the first doubling of depth_hint that
+        reaches both need and four times the probe cap.
         """
-        tick = Fraction(1, 1 << self._CLOCK_BITS)
+        bits = self._CLOCK_BITS
+        mn, md = m_star.numerator, m_star.denominator
+        cn, cd = self._law(0, 1, 1, 1)
         a, _, _ = distance_bracket(self.source, m_star, depth_hint)
-        need = bits_above((4 << self._CLOCK_BITS) * self._law(m_star, 1) / (a * a))
+        ln, ld = self._law(mn, md, 1, 1)
+        need = ((ln * a.denominator ** 2 << bits + 2) // (ld * a.numerator ** 2)).bit_length()
 
         def settle(depth: int):
-            _, earliest, latest = self._arrival_bounds(m_star, depth)
-            if latest is not None and latest - earliest < tick:
-                ticks = (earliest.numerator << self._CLOCK_BITS) // earliest.denominator
-                return Fraction(ticks, 1 << self._CLOCK_BITS) + jitter
+            # latest - earliest = c (x_hi b - x_lo a) / (a b) under one tick;
+            # a = 0 leaves the left side positive and the right side 0
+            _, a, b, x_lo, x_hi = self._arrival_bounds(mn, md, depth)
+            if (cn * (x_hi * b - x_lo * a)) << bits < cd * a * b:
+                return (cn * x_lo << bits) // (cd * b)
             return None
 
         horizon = max(need, 4 * self.config.probe_depth_cap)
         cap = depth_hint << ((horizon - 1) // depth_hint).bit_length()
-        arrival, _ = refine(depth_hint, cap, settle)
-        if arrival is None:
+        ticks, _ = refine(depth_hint, cap, settle)
+        if ticks is None:
             raise RuntimeError("clock certification exceeded its digit horizon")
-        return arrival
+        return Fraction(ticks, 1 << bits) + jitter
 
     # -- batched queries ------------------------------------------------------
 

@@ -286,19 +286,32 @@ class GapProbe:
         return f"Unresolved(depth={self.depth})"
 
 
-def distance_bracket(src: MassSource, m, depth: int) -> tuple[Fraction, Fraction, int]:
-    """Certified closed bracket A <= |m - mu| <= B from a depth-d prefix.
+def prefix_bracket(p: int, mn: int, md: int, depth: int) -> tuple[int, int, int]:
+    """(side, a, b) with a <= D |m - mu| <= b, for m = mn/md and mu in
+    [p, p+1) / 2**depth, in integers over D = md * 2**depth.
 
     side is the sign of m - mu when the prefix already separates them,
-    else 0 (in which case A == 0 and B <= 2**-depth).
+    else 0 (in which case a == 0 and b == md, that is 2**-depth).
     """
+    lo = p * md
+    hi = lo + md
+    m = mn << depth
+    if m < lo:
+        return -1, lo - m, hi - m
+    if m >= hi:
+        return +1, m - hi, m - lo
+    return 0, 0, md
+
+
+def distance_bracket(src: MassSource, m, depth: int) -> tuple[Fraction, Fraction, int]:
+    """Certified closed bracket A <= |m - mu| <= B from a depth-d prefix,
+    with side as in prefix_bracket."""
     mf = to_fraction(m)
-    lo, hi = src.interval(depth)
-    if mf < lo:
-        return lo - mf, hi - mf, -1
-    if mf >= hi:
-        return mf - hi, mf - lo, +1
-    return Fraction(0), max(mf - lo, hi - mf, Fraction(1, 1 << depth)), 0
+    lo, _ = src.interval(depth)
+    p = (lo.numerator << depth) // lo.denominator  # lo = p / 2**depth
+    side, a, b = prefix_bracket(p, mf.numerator, mf.denominator, depth)
+    D = mf.denominator << depth
+    return Fraction(a, D), Fraction(b, D), side
 
 
 def gap_probe(src: MassSource, m, max_depth: int, target: Optional[Fraction] = None) -> GapProbe:

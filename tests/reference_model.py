@@ -1,0 +1,147 @@
+"""Reference model of one oracle query on a digit-stream target.
+
+A straight `Fraction` transcription of the experiment that `oracle.py`
+describes, with no cross-multiplication and no shortcut:
+
+- the projectile mass m* = z - eps + 2 eps r / 2**64, r = rng.raw64, clipped
+  into [0, 1] (m* = z when error-free), and the jitter -N + 2 N r' / 2**64;
+- the law K / gap (protocol) or (r/u)(m* + mu) / gap (kinematic);
+- the certified decision: read depth-d prefixes of the target, d doubling
+  from the start depth to the probe cap, until the arrival is proven
+  strictly before the deadline (an answer) or at or after it (a timeout);
+- the clock reading of an answered interrupt-billed query: deepen until
+  the arrival enclosure is under one 2**-48 tick, then floor to the tick
+  grid and add the jitter;
+- interrupt or full-budget billing.
+
+The target's digits are read through `MassSource.prefix_int`.  This
+module imports nothing from `oracle`, `kernels` or `procedures`, so a
+property test can hold `CollisionOracle.query` to it record by record.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from collidersim import rng
+
+TICK = Fraction(1, 1 << 48)
+
+
+@dataclass
+class Apparatus:
+    K: Fraction = Fraction(1)
+    N: Fraction = Fraction(0)
+    timing: str = "protocol"
+    launch_speed: Fraction = Fraction(1)
+    flag_distance: Fraction = Fraction(1)
+    interrupt: bool = True
+    probe_depth_cap: int = 4096
+    seed: int = 0
+
+
+@dataclass
+class Result:
+    outcome: str              # "lesser", "greater" or "timeout"
+    elapsed: Fraction
+    probe_depth: Optional[int]
+    m_star: Fraction
+
+
+def word_value(word: str) -> Fraction:
+    """Bit i of the word weighs 2**(1-i)."""
+    return Fraction(int(word, 2), 1 << (len(word) - 1))
+
+
+def draw_mass(app: Apparatus, z: Fraction, epsilon: Optional[Fraction],
+              index: int) -> Fraction:
+    if epsilon is None:
+        return z
+    u = Fraction(rng.raw64(app.seed, index, 0), 1 << 64)
+    return min(max(z - epsilon + 2 * epsilon * u, Fraction(0)), Fraction(1))
+
+
+def draw_jitter(app: Apparatus, index: int) -> Fraction:
+    if app.N == 0:
+        return Fraction(0)
+    u = Fraction(rng.raw64(app.seed, index, 1), 1 << 64)
+    return -app.N + 2 * app.N * u
+
+
+def law(app: Apparatus, m: Fraction, mu) -> Fraction:
+    """Arrival time times |m - mu|."""
+    if app.timing == "protocol":
+        return app.K
+    return app.flag_distance / app.launch_speed * (m + mu)
+
+
+def bits_above(x: Fraction) -> int:
+    """Least t >= 0 with 2**t > x."""
+    return max(math.floor(x), 0).bit_length()
+
+
+def doublings(start: int, cap: int):
+    d = min(start, cap)
+    while True:
+        yield d
+        if d >= cap:
+            return
+        d = min(2 * d, cap)
+
+
+def arrival_bounds(app: Apparatus, src, m: Fraction, depth: int):
+    """(side, near, earliest, latest) from the depth-d prefix interval [lo, hi).
+
+    near <= |m - mu| <= far; latest is None while near is 0.
+    """
+    lo = Fraction(src.prefix_int(depth), 1 << depth)
+    hi = lo + Fraction(1, 1 << depth)
+    if m < lo:
+        side, near, far = -1, lo - m, hi - m
+    elif m >= hi:
+        side, near, far = +1, m - hi, m - lo
+    else:
+        side, near, far = 0, Fraction(0), hi - lo
+    latest = law(app, m, hi) / near if near > 0 else None
+    return side, near, law(app, m, lo) / far, latest
+
+
+def clock_reading(app: Apparatus, src, m: Fraction, depth: int,
+                  jitter: Fraction) -> Fraction:
+    _, near, _, _ = arrival_bounds(app, src, m, depth)
+    need = bits_above(4 * law(app, m, 1) / (near * near * TICK))
+    horizon = max(need, 4 * app.probe_depth_cap)
+    cap = depth
+    while cap < horizon:
+        cap *= 2
+    for d in doublings(depth, cap):
+        _, _, earliest, latest = arrival_bounds(app, src, m, d)
+        if latest is not None and latest - earliest < TICK:
+            return math.floor(earliest / TICK) * TICK + jitter
+    raise RuntimeError("clock reading did not settle")
+
+
+def query(app: Apparatus, src, index: int, word: str, budget: Fraction,
+          epsilon: Optional[Fraction] = None) -> Result:
+    """Query number `index` of a run: the mass z of `word` against src."""
+    m = draw_mass(app, word_value(word), epsilon, index)
+    jitter = draw_jitter(app, index)
+    deadline = budget - jitter
+    if deadline <= 0:
+        return Result("timeout", budget, None, m)
+    floor_law = law(app, m, 0)
+    start = max(8, bits_above(deadline / floor_law) + 2) if floor_law else 8
+    for depth in doublings(start, app.probe_depth_cap):
+        side, _, earliest, latest = arrival_bounds(app, src, m, depth)
+        if latest is not None and latest < deadline:
+            outcome = "lesser" if side < 0 else "greater"
+            if not app.interrupt:
+                return Result(outcome, budget, depth, m)
+            return Result(outcome, clock_reading(app, src, m, depth, jitter),
+                          depth, m)
+        if earliest >= deadline:
+            break
+    return Result("timeout", budget, depth, m)

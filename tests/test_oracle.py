@@ -15,6 +15,8 @@ from collidersim.sources import (RunLengths, affine_of_source, custom,
                                  from_dyadic, from_rational, from_run_lengths)
 from collidersim.dyadic import Dyadic, word_to_dyadic
 
+import reference_model
+
 
 def third_as_stream():
     """1/3 presented as a digit stream with no exact value attached."""
@@ -447,6 +449,71 @@ class TestIntegerDecisionProperty:
         else:
             assert rec.outcome is Outcome.TIMEOUT
             assert rec.elapsed == budget
+
+
+class TestStreamQueriesMatchReferenceModel:
+    """Queries on digit-stream targets decide, bill and draw like the
+    Fraction transcription in tests/reference_model.py, record by record."""
+
+    @staticmethod
+    def make_source(stream):
+        kind, arg = stream
+        if kind == "pattern":
+            return from_run_lengths(arg)
+        return custom(lambda n: rng.raw64(arg, n, 0) >> 63)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=st.one_of(
+               st.tuples(st.just("pattern"),
+                         st.lists(st.integers(1, 6), min_size=1, max_size=5)),
+               st.tuples(st.just("custom"), st.integers(0, 2**16))),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           K=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+           ru=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           N=st.integers(0, 16),
+           mode=st.sampled_from(list(PrecisionMode)),
+           eps_bits=st.integers(1, 60),
+           wait=st.sampled_from(list(WaitPolicy)),
+           cap=st.one_of(st.integers(8, 64), st.sampled_from([512, 4096])),
+           seed=st.integers(0, 2**16),
+           # (L, flip, e, q): the word 0.d1...dL from the target's first L
+           # digits, its last digit flipped or not, at the budget 2**e / q
+           queries=st.lists(st.tuples(st.integers(0, 160), st.booleans(),
+                                      st.integers(0, 170), st.integers(1, 15)),
+                            min_size=1, max_size=6))
+    # the earliest arrival equals the deadline at depth 8: 1/(29/32 - 1/2);
+    # that is a timeout there, not a read to depth 16
+    @example(stream=("pattern", [3, 2, 4]), timing="protocol", K=(1, 1),
+             ru=(1, 1), N=0, mode=PrecisionMode.ERROR_FREE, eps_bits=1,
+             wait=WaitPolicy.INTERRUPT, cap=4096, seed=0,
+             queries=[(1, False, 5, 13)])
+    def test_query_matches_reference_model(self, stream, timing, K, ru, N, mode,
+                                           eps_bits, wait, cap, seed, queries):
+        eps = Fraction(1, 1 << eps_bits)
+        cfg = OracleConfig(K=Fraction(*K), N=Fraction(N, 16), timing=timing,
+                           flag_distance=Fraction(ru[0]), launch_speed=Fraction(ru[1]),
+                           mode=mode, epsilon=eps if mode is PrecisionMode.FIXED else None,
+                           wait_policy=wait, probe_depth_cap=cap, seed=seed,
+                           record_hidden=True)
+        app = reference_model.Apparatus(
+            K=cfg.K, N=cfg.N, timing=timing, flag_distance=cfg.flag_distance,
+            launch_speed=cfg.launch_speed, interrupt=wait is WaitPolicy.INTERRUPT,
+            probe_depth_cap=cap, seed=seed)
+        oracle = CollisionOracle(self.make_source(stream), cfg)
+        model_src = self.make_source(stream)
+        for index, (length, flip, e, q) in enumerate(queries):
+            digits = format(model_src.prefix_int(length), f"0{length}b") if length else ""
+            if flip and digits:
+                digits = digits[:-1] + "10"[int(digits[-1])]
+            word, budget = "0" + digits, Fraction(1 << e, q)
+            rec = oracle.query(word, budget,
+                               epsilon=eps if mode is PrecisionMode.ARBITRARY else None)
+            want = reference_model.query(
+                app, model_src, index, word, budget,
+                None if mode is PrecisionMode.ERROR_FREE else eps)
+            assert (str(rec.outcome), rec.elapsed, rec.probe_depth,
+                    rec.hidden["m_star"]) == (want.outcome, want.elapsed,
+                                              want.probe_depth, want.m_star)
 
 
 class TestTranscripts:
