@@ -13,8 +13,7 @@ from .collision import (Outcome, accuracy_time_floor, classify_outcome,
                         experiment_time, kinetic_energy, momentum,
                         post_collision_velocities, time_bounds,
                         time_gap_product, uncertainty_product)
-from .dyadic import (Dyadic, ONE, ZERO, dyadic_to_word, midpoint,
-                     validate_word, word_length, word_to_dyadic)
+from .dyadic import Dyadic, validate_word, word_to_dyadic
 from .oracle import (BatchRecord, CollisionOracle, ConfigError, OracleConfig,
                      PrecisionMode, QueryRecord, TimeoutExceeded,
                      TimeoutReaction, WaitPolicy, timeout_window)

@@ -211,9 +211,8 @@ class _AdviceSource(MassSource):
         if f.stable_from is not None:
             # Once f stops changing, every later chunk is a bare separator,
             # so the tail is (001) repeating, worth 1/7 at its alignment.
-            jstar = 0
-            while (1 << jstar) < f.stable_from:
-                jstar += 1
+            # jstar is the least j with 2**j >= stable_from
+            jstar = max(f.stable_from - 1, 0).bit_length()
             # encode_advice checks growth and prefix extension through
             # 2**jstar; past it f is constant and a >= 0, so they hold.
             head = encode_advice(f, jstar)

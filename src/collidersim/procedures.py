@@ -2,8 +2,9 @@
 
 A schedule T(n) fixes how long the experimenter is willing to wait for
 a query of word length n.  Bisection reads digits one at a time by
-firing midpoints; the grid sweep fires every mass on a dyadic grid at
-one shared budget and reads off the bracketing pair.  Both report a
+halving the cell the digits so far pin the target to; the grid sweep
+fires every mass on a dyadic grid at one shared budget and reads off
+the bracketing pair.  Both report a
 digit prefix plus exactly where (if anywhere) a timeout stopped them,
 and both keep exact simulated-time accounting so cost growth laws can
 be checked against transcripts rather than against formulas.
@@ -16,8 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .collision import Outcome
-from .dyadic import (ZERO, ONE, dyadic_to_word, fraction_text,
-                     midpoint, to_fraction)
+from .dyadic import fraction_text, to_fraction
 from .oracle import (CollisionOracle, ConfigError, PrecisionMode,
                      TimeoutExceeded, WaitPolicy)
 from .sources import (MassSource, RunLengths, diagonal_run_lengths,
@@ -201,7 +201,7 @@ class MeasurementReport:
 def default_stage_tolerance(stage: int) -> Fraction:
     """Per-stage manufacturing tolerance for error-prone bisection.
 
-    Small enough that a tolerance-wide wobble of the midpoint cannot
+    Small enough that a tolerance-wide wobble of the test mass cannot
     flip the comparison whenever the target keeps the guaranteed
     distance > 2**-(stage+5) from stage dyadics (the margin encoded
     masses provide)."""
@@ -210,13 +210,14 @@ def default_stage_tolerance(stage: int) -> Fraction:
 
 def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
               stage_tolerance: Optional[Callable[[int], Fraction]] = None) -> MeasurementReport:
-    """Read the target's digits by firing interval midpoints.
+    """Read the target's digits one halving at a time.
 
-    Stage i keeps an exact bracket (m1, m2) of width 2**-(i-1) around
-    the target, fires the midpoint (a word of length i+1) with budget
-    T(i+1), and turns lesser/greater into digit 1/0.  A timeout ends
-    the run; with equal masses (dyadic target hit exactly) that is the
-    only possible ending, since no budget ever resolves equality.
+    Stage i fires the word "0" + (the digits read so far) + "1", of
+    length i+1, with budget T(i+1); its value is the centre of the
+    width-2**-(i-1) cell those digits pin the target to.  Lesser/greater
+    turns into digit 1/0.  A timeout ends the run; with equal masses
+    (dyadic target hit exactly) that is the only possible ending, since
+    no budget ever resolves equality.
     """
     if n_digits < 1:
         raise ValueError("n_digits must be >= 1")
@@ -227,35 +228,28 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     if cfg.mode is PrecisionMode.ARBITRARY and stage_tolerance is None:
         stage_tolerance = default_stage_tolerance
 
-    m1, m2 = ZERO, ONE
-    digits = []
+    digits = ""
     stage_elapsed = []
     timed_out_at = None
-    length = 0
     for stage in range(1, n_digits + 1):
-        mid = midpoint(m1, m2)
-        word = dyadic_to_word(mid)
+        word = "0" + digits + "1"
         budget = schedule(len(word))
         eps = stage_tolerance(stage) if stage_tolerance is not None else None
         try:
             rec = oracle.query(word, budget, epsilon=eps)
         except TimeoutExceeded as exc:
             rec = exc.record
-        length += len(word)
         stage_elapsed.append(rec.elapsed)
         if rec.outcome is Outcome.TIMEOUT:
             timed_out_at = stage
             break
-        if rec.outcome is Outcome.LESSER:
-            digits.append("1")
-            m1 = mid
-        else:
-            digits.append("0")
-            m2 = mid
+        digits += "1" if rec.outcome is Outcome.LESSER else "0"
+    fired = len(stage_elapsed)   # stage i fires a word of i + 1 digits
     return MeasurementReport(
-        procedure="bisection", digits="".join(digits), requested=n_digits,
+        procedure="bisection", digits=digits, requested=n_digits,
         timed_out_at=timed_out_at, total_time=sum(stage_elapsed, Fraction(0)),
-        total_setup=cfg.c_setup * length, stage_elapsed=stage_elapsed,
+        total_setup=cfg.c_setup * (fired * (fired + 3) // 2),
+        stage_elapsed=stage_elapsed,
         details={"schedule": schedule.descriptor},
     )
 

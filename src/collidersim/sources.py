@@ -489,7 +489,7 @@ def parse_mass_spec(spec: str, schedule_budget=None, K=None):
         f = parse_fraction(args)
         return from_rational(f.numerator, f.denominator)
     if kind == "dyadic":
-        return from_dyadic(Dyadic.from_fraction(parse_fraction(args)))
+        return from_dyadic(parse_fraction(args))
     if kind == "pattern":
         body, _, tailpart = args.partition(";")
         tail = "repeat-last"
@@ -551,7 +551,7 @@ def _mass_from_tokens(kind: str, tokens: dict, schedule_budget, K):
         src = from_rational(int(tokens.pop("p")), int(tokens.pop("q")))
     elif kind == "dyadic":
         if "value" in tokens:
-            src = from_dyadic(Dyadic.from_fraction(parse_fraction(tokens.pop("value"))))
+            src = from_dyadic(parse_fraction(tokens.pop("value")))
         else:
             src = from_dyadic(Dyadic(int(tokens.pop("num")), int(tokens.pop("exp"))))
     elif kind == "pattern":

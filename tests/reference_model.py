@@ -1,4 +1,4 @@
-"""Reference model of one oracle query on a digit-stream target.
+"""Reference model of oracle queries and bisection on a digit-stream target.
 
 A straight `Fraction` transcription of the experiment that `oracle.py`
 describes, with no cross-multiplication and no shortcut:
@@ -12,11 +12,15 @@ describes, with no cross-multiplication and no shortcut:
 - the clock reading of an answered interrupt-billed query: deepen until
   the arrival enclosure is under one 2**-48 tick, then floor to the tick
   grid and add the jitter;
-- interrupt or full-budget billing.
+- interrupt or full-budget billing;
+- bisection: keep the bracket [lo, hi) around the target, fire the word
+  of its midpoint at the schedule's budget for that word's length, and
+  stop at the first timeout.
 
 The target's digits are read through `MassSource.prefix_int`.  This
 module imports nothing from `oracle`, `kernels` or `procedures`, so a
-property test can hold `CollisionOracle.query` to it record by record.
+property test can hold `CollisionOracle.query` and `procedures.bisection`
+to it record by record.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ class Apparatus:
     interrupt: bool = True
     probe_depth_cap: int = 4096
     seed: int = 0
+    c_setup: Fraction = Fraction(1)
 
 
 @dataclass
@@ -145,3 +150,45 @@ def query(app: Apparatus, src, index: int, word: str, budget: Fraction,
         if earliest >= deadline:
             break
     return Result("timeout", budget, depth, m)
+
+
+def value_word(v: Fraction) -> str:
+    """Shortest word of a dyadic mass v in [0, 1], read off bit by bit."""
+    if v == 1:
+        return "1"
+    bits = ""
+    while v:
+        v *= 2
+        bit = int(v >= 1)
+        bits += str(bit)
+        v -= bit
+    return "0" + bits
+
+
+def bisection(app: Apparatus, src, n_digits: int, schedule,
+              arbitrary: bool = False):
+    """Bisection of src: (records, report).
+
+    Each record is (word, budget, result, setup); the report holds the
+    digits, the status, and the waiting and setup totals.
+    """
+    lo, hi = Fraction(0), Fraction(1)
+    digits, records, status = "", [], f"complete:{n_digits}"
+    for stage in range(1, n_digits + 1):
+        mid = (lo + hi) / 2
+        word = value_word(mid)
+        budget = schedule(len(word))
+        eps = Fraction(1, 2 ** (stage + 6)) if arbitrary else None
+        result = query(app, src, stage - 1, word, budget, eps)
+        records.append((word, budget, result, app.c_setup * len(word)))
+        if result.outcome == "timeout":
+            status = f"timed-out-at-digit:{stage}"
+            break
+        if result.outcome == "lesser":
+            digits, lo = digits + "1", mid
+        else:
+            digits, hi = digits + "0", mid
+    report = {"digits": digits, "status": status,
+              "total_time": sum((r[2].elapsed for r in records), Fraction(0)),
+              "total_setup": sum((r[3] for r in records), Fraction(0))}
+    return records, report

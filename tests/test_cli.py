@@ -46,6 +46,11 @@ class TestMeasure:
                      "--schedule", "exp:k=2"])
         assert code == EXIT_CONFIG
 
+    def test_non_dyadic_value_of_dyadic_kind(self, capsys):
+        code = main(["measure", "--mass", "dyadic:1/3", "--digits", "4"])
+        assert code == EXIT_CONFIG
+        assert "not dyadic" in capsys.readouterr().err
+
     def test_adversarial_mass_needs_schedule_context(self, capsys):
         code = main(["measure", "--mass", "adversarial:u1=4",
                      "--procedure", "grid", "--level", "2", "--wait", "full"])

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from collidersim.dyadic import (Dyadic, ONE, ZERO, bits_above, dyadic_to_word,
-                                fraction_text, midpoint, to_fraction,
-                                validate_word, word_length, word_to_dyadic)
+from collidersim.dyadic import (Dyadic, bits_above, fraction_text, to_fraction,
+                                validate_word, word_to_dyadic)
 
 
 class TestCanonicalForm:
@@ -50,38 +49,10 @@ class TestCanonicalForm:
             assert Dyadic.from_fraction(d.as_fraction()) == d
 
 
-class TestArithmetic:
-    def test_exact_ops_match_fractions(self):
-        rnd = random.Random(23)
-        for _ in range(300):
-            a = Dyadic(rnd.randrange(-64, 64), rnd.randrange(0, 8))
-            b = Dyadic(rnd.randrange(-64, 64), rnd.randrange(0, 8))
-            assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-            assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-            assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-
-    def test_comparisons_against_fractions(self):
-        assert Dyadic(1, 2) < Fraction(1, 3)
-        assert Dyadic(3, 2) > Fraction(2, 3)
-        assert Dyadic(1, 1) == Fraction(1, 2)
-
-    @given(num=st.integers(-(1 << 70), 1 << 70), exp=st.integers(0, 70),
-           other=st.integers(-(1 << 70), 1 << 70) | st.booleans())
-    @example(num=3, exp=0, other=3)
-    def test_comparisons_against_ints(self, num, exp, other):
-        d, f = Dyadic(num, exp), Fraction(num, 1 << exp)
-        assert (d == other, d < other, d <= other, d > other, d >= other) == \
-            (f == other, f < other, f <= other, f > other, f >= other)
-
-    def test_midpoint(self):
-        assert midpoint(ZERO, ONE) == Dyadic(1, 1)
-        assert midpoint(Dyadic(1, 2), Dyadic(1, 1)) == Dyadic(3, 3)
-
-
 class TestWords:
     def test_word_values(self):
-        assert word_to_dyadic("1") == ONE
-        assert word_to_dyadic("0") == ZERO
+        assert word_to_dyadic("1") == Dyadic(1)
+        assert word_to_dyadic("0") == Dyadic(0)
         assert word_to_dyadic("011") == Dyadic(3, 2)
         assert word_to_dyadic("0101") == Dyadic(5, 3)
 
@@ -110,30 +81,39 @@ class TestWords:
             with pytest.raises(ValueError):
                 validate_word(word)
 
-    def test_padding_preserves_value(self):
-        w = dyadic_to_word(Dyadic(1, 1), min_length=5)
-        assert w == "01000"
-        assert word_to_dyadic(w) == Dyadic(1, 1)
-        assert word_length(w) == 5
-
     def test_mass_one_cannot_pad(self):
-        assert dyadic_to_word(ONE) == "1"
+        # "1" is the only word of mass 1; a padded "10" is not a word
+        assert word_to_dyadic("1") == Dyadic(1)
         with pytest.raises(ValueError):
-            dyadic_to_word(ONE, min_length=2)
+            word_to_dyadic("10")
 
-    def test_round_trip_random_words(self):
-        rnd = random.Random(7)
-        for _ in range(200):
-            exp = rnd.randrange(1, 20)
-            num = rnd.randrange(0, 1 << exp)
-            d = Dyadic(num, exp)
-            assert word_to_dyadic(dyadic_to_word(d)) == d
+    def test_padding_preserves_value(self):
+        # trailing zeros lengthen a word without moving its mass
+        assert word_to_dyadic("01000") == word_to_dyadic("01") == Dyadic(1, 1)
+
+    # words of the language 0[01]*|1, 1 to 600 bits long
+    @given(st.builds(lambda n, bits: "0" + (format(bits % (1 << n), f"0{n}b") if n else ""),
+                     st.integers(0, 599), st.integers(0, 1 << 599)) | st.just("1"))
+    @example("1")
+    @example("0")
+    @example("0" * 600)
+    @example("0" + "1" * 599)
+    @example("01" + "0" * 598)
+    def test_word_value_is_weighted_bit_sum(self, word):
+        assert re.fullmatch(r"0[01]*|1", word) and 1 <= len(word) <= 600
+        d = word_to_dyadic(word)
+        assert d.as_fraction() == sum(
+            (Fraction(int(b), 2 ** (i - 1)) for i, b in enumerate(word, 1)), Fraction(0))
+        assert d.num % 2 == 1 or (d.num, d.exp) == (0, 0)
 
     def test_natural_length_is_exponent_plus_one(self):
-        # bisection stage i fires an odd numerator over 2**i: length i+1
+        # bisection stage i fires "0" + (i - 1 digits) + "1": an odd
+        # numerator over 2**i, whose word has length i + 1
+        rnd = random.Random(5)
         for i in range(1, 12):
-            d = Dyadic(2 * (i % 3) + 1, i) if (2 * (i % 3) + 1) < (1 << i) else Dyadic(1, i)
-            assert len(dyadic_to_word(d)) == i + 1
+            word = "0" + "".join(rnd.choice("01") for _ in range(i - 1)) + "1"
+            assert len(word) == i + 1
+            assert word_to_dyadic(word).exp == i
 
 
 class TestNumericHelpers:

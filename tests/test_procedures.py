@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
@@ -23,6 +23,8 @@ from collidersim.procedures import (adversarial_continuation, bisection,
 from collidersim.sources import (RunLengths, from_dyadic, from_rational,
                                  from_run_lengths)
 from collidersim.dyadic import Dyadic
+
+import reference_model
 
 
 class TestSchedules:
@@ -138,6 +140,46 @@ class TestBisection:
         assert report.timed_out_at == 4
         assert report.digits == "010"
 
+
+
+class TestBisectionMatchesReferenceModel:
+    """Bisection on a digit-stream target fires, bills and reads like the
+    Fraction bracket-and-midpoint transcription in tests/reference_model.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           K=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+           shift=st.integers(0, 7),
+           N=st.integers(0, 16),
+           c_setup=st.integers(0, 3),
+           arbitrary=st.booleans(),
+           wait=st.sampled_from(list(WaitPolicy)),
+           seed=st.integers(0, 2**16),
+           n_digits=st.integers(4, 40))
+    @example(runs=[3, 2, 4], K=(1, 1), shift=6, N=0, c_setup=1, arbitrary=False,
+             wait=WaitPolicy.INTERRUPT, seed=0, n_digits=24)
+    @example(runs=[1], K=(3, 2), shift=1, N=4, c_setup=2, arbitrary=True,
+             wait=WaitPolicy.FULL_BUDGET, seed=5, n_digits=12)
+    def test_bisection_matches_reference_model(self, runs, K, shift, N, c_setup,
+                                               arbitrary, wait, seed, n_digits):
+        Kf = Fraction(*K)
+        cfg = OracleConfig(K=Kf, N=Fraction(N, 16), c_setup=c_setup, seed=seed,
+                           mode=PrecisionMode.ARBITRARY if arbitrary
+                           else PrecisionMode.ERROR_FREE, wait_policy=wait)
+        app = reference_model.Apparatus(
+            K=Kf, N=cfg.N, interrupt=wait is WaitPolicy.INTERRUPT, seed=seed,
+            c_setup=cfg.c_setup)
+        oracle = CollisionOracle(from_run_lengths(runs), cfg)
+        rep = bisection(oracle, n_digits, schedule_exponential(Kf, shift))
+        records, want = reference_model.bisection(
+            app, from_run_lengths(runs), n_digits,
+            lambda n: Kf * 2 ** (n + shift), arbitrary)
+        assert [(r.word, r.budget, str(r.outcome), r.elapsed, r.setup, r.probe_depth)
+                for r in oracle.transcript] == \
+            [(word, budget, res.outcome, res.elapsed, setup, res.probe_depth)
+             for word, budget, res, setup in records]
+        assert (rep.digits, rep.status(), rep.total_time, rep.total_setup) == \
+            (want["digits"], want["status"], want["total_time"], want["total_setup"])
 
 class TestGridSweep:
     def grid_config(self, **kw):

@@ -1,31 +1,41 @@
-"""The benchmark tracer's hooks still find every name they wrap.
+"""The benchmark still finds every package name it uses.
 
 `perfbench/spans.py` replaces functions at the names their callers look
-them up by (for example `collidersim.oracle.distance_bracket`).  A
-refactor that drops or bypasses one of those names would otherwise fail
-only inside a traced benchmark run; here it fails in the unit suite.
+them up by (for example `collidersim.oracle.distance_bracket`), and
+`perfbench/workloads.py` imports its entry points by name.  A refactor
+that drops or bypasses one of those names would otherwise fail only
+inside a benchmark run; here it fails in the unit suite.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 from collidersim import cli, dyadic, oracle, procedures, sources
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_workloads_import_and_build_grid_targets():
+    workloads = load("workloads")
+    # the grid-exact pool's target, built the way the workload builds it
+    src = sources.from_dyadic(workloads.Dyadic(5, 64))
+    assert src.exact_value == Fraction(5, 1 << 64)
 
 
 def test_tracer_installs_records_and_restores(tmp_path, capsys):
     originals = (oracle.distance_bracket, oracle.validate_word,
                  oracle.word_to_dyadic, oracle.CollisionOracle.query,
                  sources.MassSource.interval, procedures.grid_sweep, cli.main)
-    tracer = load_spans().Tracer()
+    tracer = load("spans").Tracer()
     tracer.install()
     try:
         tracer.active = True
