@@ -27,7 +27,7 @@ from .advice import PrefixFunction, decode_advice, encoded_mass, read_bound
 from .dyadic import fraction_text
 from .harness import embed_parameter, estimate_digits
 from .oracle import (CollisionOracle, ConfigError, OracleConfig, PrecisionMode,
-                     TimeoutExceeded, TimeoutReaction, WaitPolicy)
+                     TimeoutReaction, WaitPolicy)
 from .procedures import bisection, grid_sweep, parse_schedule
 from .sources import parse_fraction, parse_mass_spec
 
@@ -63,7 +63,7 @@ def _choice(table: dict, text: str):
     return table.get(text) or {e.value: e for e in table.values()}[text]
 
 
-def _resolve_config(args, mode="errorfree", wait="interrupt") -> OracleConfig:
+def _resolve_config(args) -> OracleConfig:
     """Flags first, then the --config file, then the command's own defaults."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
 
@@ -83,9 +83,9 @@ def _resolve_config(args, mode="errorfree", wait="interrupt") -> OracleConfig:
     return OracleConfig(
         K=parse_fraction(pick(args.K, "K", "1")),
         N=parse_fraction(pick(args.N, "N", "0")),
-        mode=_choice(_MODES, pick(getattr(args, "mode", None), "mode", mode)),
+        mode=_choice(_MODES, pick(args.mode, "mode", args.default_mode)),
         epsilon=parse_fraction(eps_text) if eps_text is not None else None,
-        wait_policy=_choice(_WAITS, pick(getattr(args, "wait", None), "wait_policy", wait)),
+        wait_policy=_choice(_WAITS, pick(args.wait, "wait_policy", args.default_wait)),
         timeout_reaction=_choice(_REACTIONS, pick(getattr(args, "on_timeout", None),
                                                   "timeout_reaction", "return")),
         c_setup=parse_fraction(pick(getattr(args, "c_setup", None), "c_setup", "1")),
@@ -169,7 +169,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _resolve_config(args, mode="fixed", wait="full")
+    cfg = _resolve_config(args)
     if cfg.epsilon is None:
         raise ValueError("estimate needs --epsilon (the fixed tolerance)")
     s_source = parse_mass_spec(args.mass)
@@ -219,17 +219,20 @@ def cmd_advice(args) -> int:
     return EXIT_OK
 
 
-def _add_oracle_args(sp) -> None:
+def _add_oracle_args(sp, mode: str, wait: str) -> None:
+    """The oracle flags, with the command's own --mode and --wait defaults."""
+    sp.set_defaults(default_mode=mode, default_wait=wait)
     sp.add_argument("--config", help="JSON file with oracle parameters")
     sp.add_argument("--K", help="timing-law constant (rational, default 1)")
     sp.add_argument("--N", help="launch latency (rational, default 0)")
     sp.add_argument("--mode", choices=sorted(_MODES),
-                    help="mass manufacturing precision (default errorfree)")
+                    help=f"mass manufacturing precision (default {mode})")
     sp.add_argument("--epsilon", help="tolerance for fixed mode (rational)")
     sp.add_argument("--seed", type=int,
                     help=f"RNG seed (default ${SEED_ENV} or 0)")
     sp.add_argument("--wait", choices=sorted(_WAITS),
-                    help="billing: interrupt at the flag or wait out the budget")
+                    help="billing: interrupt at the flag or wait out the budget "
+                         f"(default {wait})")
     sp.add_argument("--on-timeout", dest="on_timeout", choices=sorted(_REACTIONS),
                     help="whether a timed-out oracle query returns its record or "
                          "raises; measure records the timeout either way")
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--schedule",
                    help="budget law, e.g. exp:k=0, alg:k=2,alpha=1, const:96")
     m.add_argument("--level", type=int, help="grid resolution (grid)")
-    _add_oracle_args(m)
+    _add_oracle_args(m, mode="errorfree", wait="interrupt")
     m.set_defaults(func=cmd_measure)
 
     e = sub.add_parser("estimate", help="estimate digits under fixed tolerance")
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spec of the embedded parameter s")
     e.add_argument("--k", type=int, required=True, help="digits to estimate")
     e.add_argument("--delta", default="1/4", help="error probability bound")
-    _add_oracle_args(e)
+    _add_oracle_args(e, mode="fixed", wait="full")
     e.set_defaults(func=cmd_estimate)
 
     a = sub.add_parser("advice", help="inspect an encoded advice table")
@@ -283,9 +286,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TimeoutExceeded as exc:
-        print(f"timed out: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

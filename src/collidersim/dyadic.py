@@ -14,9 +14,6 @@ arithmetic on values is done in `Fraction` or in plain integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-RationalLike = Union[int, Fraction, "Dyadic"]
 
 
 class Dyadic:
@@ -68,16 +65,14 @@ class Dyadic:
         return f"{self.num}/2^{self.exp}" if self.exp else str(self.num)
 
 
-def to_fraction(value: RationalLike) -> Fraction:
-    """Any exact rational (int, Fraction, Dyadic, decimal text) as a Fraction."""
+def to_fraction(value) -> Fraction:
+    """Any exact rational (int, Fraction, decimal text) as a Fraction."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, Dyadic):
-        return value.as_fraction()
     return Fraction(value)
 
 
-def fraction_text(value: RationalLike) -> str:
+def fraction_text(value) -> str:
     """Text of an exact rational in result files: "p/q", or "p" for an integer."""
     f = to_fraction(value)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)

@@ -4,19 +4,20 @@ A batch of zeta repeated queries only needs three counts (lesser,
 greater, timeout), and with zero jitter and an exactly-known rational
 target the per-trial decision reduces to comparing the raw 64-bit mass
 draw against two integer thresholds.  The thresholds are computed here
-once, exactly, with Fraction arithmetic; the counting then runs in pure
-integer arithmetic, thousands of trials at a time in the lanes of one
-big integer.  Counts are bit-for-bit identical to a draw-by-draw recount
+once, exactly, in integers; the counting then runs in pure integer
+arithmetic, thousands of trials at a time in the lanes of one big
+integer.  Counts are bit-for-bit identical to a draw-by-draw recount
 with rng.raw64(seed, stream, 2*k): trial k of a batch consumes the even
 counter 2*k (the odd counters are reserved for jitter draws, which a
 batch with N=0 never makes).
 
 Threshold derivation: the realized mass is m* = z - eps + 2*eps*r/2^64
 for a raw draw r in [0, 2^64).  An answer requires a strictly early
-arrival, i.e. |m* - mu| > eta, so
+arrival, i.e. m* outside the oracle's mass cutoffs [lo, hi]
+(`CollisionOracle.cutoffs`; mu -/+ eta under protocol timing), so
 
-    lesser   <=>  m* < mu - eta  <=>  r < (mu - eta - z + eps) * 2^64 / (2 eps)
-    greater  <=>  m* > mu + eta  <=>  r > (mu + eta - z + eps) * 2^64 / (2 eps)
+    lesser   <=>  m* < lo  <=>  r < (lo - z + eps) * 2^64 / (2 eps)
+    greater  <=>  m* > hi  <=>  r > (hi - z + eps) * 2^64 / (2 eps)
 
 and rounding those rational cutoffs to integers (ceil on the left,
 floor on the right) preserves the strict comparisons exactly.
@@ -40,7 +41,6 @@ whole-int arithmetic act lane by lane:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .rng import GOLDEN, GOLDEN2, M64, mix64
@@ -130,22 +130,38 @@ def count_thresholds(seed: int, stream: int, zeta: int, r_lo: int, r_hi1: int):
     return max(zeta, 0) - _lane_sum(at_least), _lane_sum(greater)
 
 
+def cutoff_thresholds(z: Fraction, epsilon: Fraction, lo: tuple, hi) -> tuple[int, int]:
+    """Draw-space cutoffs (r_lo, r_hi) of the mass cutoffs lo and hi, (n, d)
+    pairs with hi possibly None: lesser <=> r < r_lo, greater <=> r >= r_hi."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    zn, zd, en, ed = z.numerator, z.denominator, epsilon.numerator, epsilon.denominator
+
+    def draw(cn, cd):
+        # (c - z + eps) * 2^64 / (2 eps) as n / d, for the cutoff c = cn / cd
+        return ((cn * zd - zn * cd) * ed + en * cd * zd) << 63, cd * zd * en
+
+    n, d = draw(*lo)
+    r_lo = min(max(-(-n // d), 0), _FULL)
+    if hi is None:
+        return r_lo, _FULL
+    n, d = draw(*hi)
+    return r_lo, min(max(n // d + 1, 0), _FULL)
+
+
 def thresholds(z: Fraction, epsilon: Fraction, mu: Fraction, eta: Fraction) -> tuple[int, int]:
-    """Integer cutoffs (r_lo, r_hi): lesser <=> r < r_lo, greater <=> r >= r_hi."""
-    if epsilon <= 0 or eta <= 0:
-        raise ValueError("epsilon and eta must be positive")
-    scale = Fraction(_FULL, 1) / (2 * epsilon)
-    x_lo = (mu - eta - z + epsilon) * scale
-    x_hi = (mu + eta - z + epsilon) * scale
-    r_lo = min(max(math.ceil(x_lo), 0), _FULL)
-    r_hi = min(max(math.floor(x_hi) + 1, 0), _FULL)
-    return r_lo, r_hi
+    """cutoff_thresholds at the protocol-timing cutoffs mu -/+ eta."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    return cutoff_thresholds(z, epsilon, *((c.numerator, c.denominator)
+                                           for c in (mu - eta, mu + eta)))
 
 
 def count_outcomes(seed: int, stream: int, zeta: int, z: Fraction,
-                   epsilon: Fraction, mu: Fraction, eta: Fraction) -> tuple[int, int]:
-    """(n_lesser, n_greater) over zeta trials of the stream's draw sequence."""
-    r_lo, r_hi = thresholds(z, epsilon, mu, eta)
+                   epsilon: Fraction, lo: tuple, hi) -> tuple[int, int]:
+    """(n_lesser, n_greater) over zeta trials of the stream's draw sequence,
+    for the mass cutoffs lo and hi of `cutoff_thresholds`."""
+    r_lo, r_hi = cutoff_thresholds(z, epsilon, lo, hi)
     if r_lo == _FULL:          # every draw is below the left cutoff
         return zeta, 0
     if r_hi == 0:              # every draw is above the right cutoff

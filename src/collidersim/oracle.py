@@ -14,8 +14,9 @@ and arrival times, which is exactly the information channel under
 study.
 
 Decisions are certified, never guessed.  For an exactly-known target
-the decision is one inequality between cross-multiplied integers, and
-the arrival time is computed in closed form.  For a target known only
+the decision compares m* with the two integer mass cutoffs of `cutoffs`,
+the same ones the batch kernel and the grid sweep use, and the arrival
+time is computed in closed form.  For a target known only
 as a digit stream, the query reads just enough digits to prove the
 arrival falls strictly before the deadline or at-or-after it; the
 convention that a deadline-exact arrival counts as a timeout is what
@@ -283,13 +284,10 @@ class CollisionOracle:
             elapsed = budget
         else:
             elapsed = arrival
-        setup = self._setup.get(len(word))
-        if setup is None:
-            setup = self._setup[len(word)] = cfg.c_setup * len(word)
 
         record = QueryRecord(
             index=index, word=word, z=z, z_length=len(word), budget=budget,
-            outcome=outcome, elapsed=elapsed, setup=setup,
+            outcome=outcome, elapsed=elapsed, setup=self._setup_cost(len(word)),
             epsilon=epsilon, probe_depth=depth,
         )
         if cfg.record_hidden:
@@ -299,6 +297,51 @@ class CollisionOracle:
         if outcome is Outcome.TIMEOUT and cfg.timeout_reaction is TimeoutReaction.ABORT:
             raise TimeoutExceeded(record)
         return record
+
+    def _setup_cost(self, length: int) -> Fraction:
+        setup = self._setup.get(length)
+        if setup is None:
+            setup = self._setup[length] = self.config.c_setup * length
+        return setup
+
+    def fire_grid(self, r: int, budget: Fraction) -> list:
+        """Fire p/2**r for 0 <= p <= 2**r, in order, at one budget; return
+        the records.  A timeout is read past under either reaction.
+
+        On an exact target with no jitter, error-free and full-budget
+        billed, the mass cutoffs [lo, hi] of the budget decide every
+        word: one ceiling and one floor division find the run
+        first <= p < end of grid points inside them.  The words from
+        first - 1 to end go through `query`, so the division results need
+        only be right to within one word; the rest, a grid step or more
+        clear of the window, get the records `query` would append.
+        """
+        n, cfg = 1 << r, self.config
+        fired, first = range(n + 1), 0
+        if (self.source.exact_value is not None and cfg.N == 0
+                and cfg.mode is PrecisionMode.ERROR_FREE
+                and cfg.wait_policy is WaitPolicy.FULL_BUDGET):
+            (an, ad), hi = self.cutoffs(budget)
+            first = min(max(-((-an << r) // ad), 0), n + 1)
+            end = n + 1 if hi is None else min(max((hi[0] << r) // hi[1] + 1, 0), n + 1)
+            fired = range(max(first - 1, 0), min(end, n) + 1)
+        start, fmt, setup = len(self.transcript), f"0{r}b", self._setup_cost(r + 1)
+        for p in range(n + 1):
+            word = "0" + format(p, fmt) if p < n else "1"
+            if p in fired:
+                try:
+                    self.query(word, budget)
+                except TimeoutExceeded:
+                    pass
+            else:
+                z = Fraction(p, n)
+                record = QueryRecord(len(self.transcript), word, z, len(word), budget,
+                                     Outcome.LESSER if p < first else Outcome.GREATER,
+                                     budget, setup if p < n else self._setup_cost(1))
+                if cfg.record_hidden:
+                    record.hidden.update(m_star=z, jitter=_ZERO)
+                self.transcript.append(record)
+        return self.transcript[start:]
 
     def _resolve(self, word: str, budget, epsilon):
         """Checked (z, budget, epsilon) of a query, shared by both query kinds.
@@ -347,20 +390,38 @@ class CollisionOracle:
         exact = self.source.exact_value
         if exact is None:
             return self._decide_probed(m_star, jitter, deadline, need_arrival)
-        # law/gap < deadline in cross-multiplied integers, where
-        # gap = |m* - mu| = |diff| / gd
         mn, md, un, ud = m_star.numerator, m_star.denominator, exact.numerator, exact.denominator
         diff = mn * ud - un * md
-        if diff == 0:
+        lo, hi = self.cutoffs(deadline)
+        # only the cutoff on m*'s own side of mu can be crossed
+        if diff < 0 and mn * lo[1] < lo[0] * md:
+            side = Outcome.LESSER
+        elif diff > 0 and hi is not None and mn * hi[1] > hi[0] * md:
+            side = Outcome.GREATER
+        else:
             return Outcome.TIMEOUT, None, None
-        gn, gd = abs(diff), md * ud
-        ln, ld = self._law(mn, md, un, ud)
-        if ln * gd * deadline.denominator >= deadline.numerator * gn * ld:
-            return Outcome.TIMEOUT, None, None
-        side = Outcome.LESSER if diff < 0 else Outcome.GREATER
         if not need_arrival:
             return side, None, None
-        return side, Fraction(ln * gd, ld * gn) + jitter, None
+        # law / gap, with gap = |m* - mu| = |diff| / (md ud)
+        ln, ld = self._law(mn, md, un, ud)
+        return side, Fraction(ln * md * ud, ld * abs(diff)) + jitter, None
+
+    def cutoffs(self, deadline: Fraction):
+        """Mass cutoffs (lo, hi) of an exact target at a positive deadline T,
+        as unreduced (n, d) pairs with d > 0: a realised mass below lo
+        answers lesser, one above hi greater, and one in [lo, hi] times out.
+        Protocol timing gives mu -/+ K/T.  Kinematic timing, where
+        c (m* + mu) < T |m* - mu| with c = r/u is linear on each side of mu,
+        gives mu (T - c)/(T + c) and mu (T + c)/(T - c), or hi None when
+        T <= c, as then no mass answers greater."""
+        un, ud = self.source.exact_value.numerator, self.source.exact_value.denominator
+        tn, td = deadline.numerator, deadline.denominator
+        cn, cd = self._law(0, 1, 1, 1)
+        if self.config.timing == "protocol":
+            m, w, d = un * cd * tn, cn * td * ud, ud * cd * tn    # mu, K/T over d
+            return (m - w, d), (m + w, d)
+        plus, minus = tn * cd + cn * td, tn * cd - cn * td
+        return (un * minus, ud * plus), ((un * plus, ud * minus) if minus > 0 else None)
 
     def _law(self, mn: int, md: int, un: int, ud: int) -> tuple[int, int]:
         """Arrival time times |m* - mu| as an unreduced n/d, for m* = mn/md
@@ -468,16 +529,14 @@ class CollisionOracle:
         usable_kernel = (
             epsilon is not None
             and cfg.N == 0
-            and cfg.timing == "protocol"
             and exact is not None
             and z - epsilon >= 0
             and z + epsilon <= 1
         )
         if usable_kernel:
             from . import kernels
-            eta = cfg.K / budget
             n_less, n_great = kernels.count_outcomes(
-                cfg.seed, index, zeta, z, epsilon, exact, eta)
+                cfg.seed, index, zeta, z, epsilon, *self.cutoffs(budget))
             engine = kernels.engine_name()
         else:
             n_less = n_great = 0

@@ -264,6 +264,9 @@ def grid_sweep(oracle: CollisionOracle, r: int) -> MeasurementReport:
     the target sits within the window of some grid point; the sweep
     reports that as failure rather than guessing, so its failure set is
     exactly the union of the little windows.
+
+    `CollisionOracle.fire_grid` fires the words; on an exact target it
+    sends only those next to the window through `query`.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -278,12 +281,7 @@ def grid_sweep(oracle: CollisionOracle, r: int) -> MeasurementReport:
     timeouts = []
     lesser_max = None
     greater_min = None
-    for p in range(n_points):
-        word = "0" + format(p, f"0{r}b") if p < (1 << r) else "1"
-        try:
-            rec = oracle.query(word, budget)
-        except TimeoutExceeded as exc:
-            rec = exc.record
+    for p, rec in enumerate(oracle.fire_grid(r, budget)):
         if rec.outcome is Outcome.TIMEOUT:
             timeouts.append(p)
         elif rec.outcome is Outcome.LESSER:

@@ -11,8 +11,6 @@ Twister state cannot be split by counter).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 M64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 GOLDEN2 = 0xD1B54A32D192ED03
@@ -31,16 +29,6 @@ def raw64(seed: int, stream: int, counter: int) -> int:
     z = mix64((seed + GOLDEN * (stream + 1)) & M64)
     z = mix64((z + GOLDEN2 * (counter + 1)) & M64)
     return z
-
-
-def unit_fraction(seed: int, stream: int, counter: int, bits: int = 64) -> Fraction:
-    """Uniform dyadic draw in [0, 1) with the given resolution."""
-    r = raw64(seed, stream, counter)
-    if bits < 64:
-        r >>= 64 - bits
-    elif bits > 64:
-        raise ValueError("draws are 64-bit")
-    return Fraction(r, 1 << bits)
 
 
 def derive_seed(seed: int, label: int) -> int:

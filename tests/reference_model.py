@@ -1,4 +1,4 @@
-"""Reference model of oracle queries and bisection on a digit-stream target.
+"""Reference model of oracle queries, bisection and the grid sweep.
 
 A straight `Fraction` transcription of the experiment that `oracle.py`
 describes, with no cross-multiplication and no shortcut:
@@ -6,21 +6,28 @@ describes, with no cross-multiplication and no shortcut:
 - the projectile mass m* = z - eps + 2 eps r / 2**64, r = rng.raw64, clipped
   into [0, 1] (m* = z when error-free), and the jitter -N + 2 N r' / 2**64;
 - the law K / gap (protocol) or (r/u)(m* + mu) / gap (kinematic);
-- the certified decision: read depth-d prefixes of the target, d doubling
-  from the start depth to the probe cap, until the arrival is proven
-  strictly before the deadline (an answer) or at or after it (a timeout);
-- the clock reading of an answered interrupt-billed query: deepen until
-  the arrival enclosure is under one 2**-48 tick, then floor to the tick
-  grid and add the jitter;
+- on an exactly known target mu, the arrival in closed form,
+  law / |m* - mu| + jitter, which answers only if strictly before the
+  budget (equal masses never answer);
+- on a digit-stream target, the certified decision: read depth-d prefixes
+  of the target, d doubling from the start depth to the probe cap, until
+  the arrival is proven strictly before the deadline (an answer) or at or
+  after it (a timeout);
+- the clock reading of an answered interrupt-billed query on a stream:
+  deepen until the arrival enclosure is under one 2**-48 tick, then floor
+  to the tick grid and add the jitter;
 - interrupt or full-budget billing;
 - bisection: keep the bracket [lo, hi) around the target, fire the word
   of its midpoint at the schedule's budget for that word's length, and
-  stop at the first timeout.
+  stop at the first timeout;
+- the grid sweep: fire every p/2**r at the budget K 2**(2r + 1), one by
+  one, and read the digits off an adjacent lesser/greater pair.
 
-The target's digits are read through `MassSource.prefix_int`.  This
-module imports nothing from `oracle`, `kernels` or `procedures`, so a
-property test can hold `CollisionOracle.query` and `procedures.bisection`
-to it record by record.
+The target's digits are read through `MassSource.prefix_int`, and an
+exact target's value through `MassSource.exact_value`.  This module
+imports nothing from `oracle`, `kernels` or `procedures`, so property
+tests can hold `CollisionOracle.query`, `procedures.bisection` and
+`procedures.grid_sweep` to it record by record.
 """
 
 from __future__ import annotations
@@ -54,6 +61,11 @@ class Result:
     elapsed: Fraction
     probe_depth: Optional[int]
     m_star: Fraction
+    jitter: Fraction = Fraction(0)
+
+
+def text(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def word_value(word: str) -> Fraction:
@@ -134,9 +146,18 @@ def query(app: Apparatus, src, index: int, word: str, budget: Fraction,
     """Query number `index` of a run: the mass z of `word` against src."""
     m = draw_mass(app, word_value(word), epsilon, index)
     jitter = draw_jitter(app, index)
+    mu = src.exact_value
+    if mu is not None:
+        if m == mu:
+            return Result("timeout", budget, None, m, jitter)
+        arrival = law(app, m, mu) / abs(m - mu) + jitter
+        if arrival >= budget:
+            return Result("timeout", budget, None, m, jitter)
+        return Result("lesser" if m < mu else "greater",
+                      arrival if app.interrupt else budget, None, m, jitter)
     deadline = budget - jitter
     if deadline <= 0:
-        return Result("timeout", budget, None, m)
+        return Result("timeout", budget, None, m, jitter)
     floor_law = law(app, m, 0)
     start = max(8, bits_above(deadline / floor_law) + 2) if floor_law else 8
     for depth in doublings(start, app.probe_depth_cap):
@@ -144,12 +165,20 @@ def query(app: Apparatus, src, index: int, word: str, budget: Fraction,
         if latest is not None and latest < deadline:
             outcome = "lesser" if side < 0 else "greater"
             if not app.interrupt:
-                return Result(outcome, budget, depth, m)
+                return Result(outcome, budget, depth, m, jitter)
             return Result(outcome, clock_reading(app, src, m, depth, jitter),
-                          depth, m)
+                          depth, m, jitter)
         if earliest >= deadline:
             break
-    return Result("timeout", budget, depth, m)
+    return Result("timeout", budget, depth, m, jitter)
+
+
+def record_dict(index: int, word: str, budget: Fraction, result: Result,
+                setup: Fraction) -> dict:
+    """The transcript line of one error-free query."""
+    return {"index": index, "z": word, "z_length": len(word),
+            "budget": text(budget), "answer": result.outcome,
+            "elapsed": text(result.elapsed), "setup": text(setup)}
 
 
 def value_word(v: Fraction) -> str:
@@ -191,4 +220,37 @@ def bisection(app: Apparatus, src, n_digits: int, schedule,
     report = {"digits": digits, "status": status,
               "total_time": sum((r[2].elapsed for r in records), Fraction(0)),
               "total_setup": sum((r[3] for r in records), Fraction(0))}
+    return records, report
+
+
+def grid_sweep(app: Apparatus, src, r: int):
+    """Grid sweep of src at level r, billed full-budget: (records, report).
+
+    Each record is (word, budget, result, setup); the report is the dict
+    of a `MeasurementReport`.
+    """
+    budget = app.K * 2 ** (2 * r + 1)
+    records, timeouts, lesser, greater = [], [], None, None
+    for p in range(2 ** r + 1):
+        word = "1" if p == 2 ** r else "0" + format(p, f"0{r}b")
+        result = query(app, src, p, word, budget)
+        records.append((word, budget, result, app.c_setup * len(word)))
+        if result.outcome == "timeout":
+            timeouts.append(p)
+        elif result.outcome == "lesser":
+            lesser = p
+        elif greater is None:
+            greater = p
+    ok = not timeouts and lesser is not None and greater == lesser + 1
+    report = {
+        "procedure": "grid-sweep",
+        "status": f"complete:{r}" if ok else f"timed-out-at-digit:{r}",
+        "digits": format(lesser, f"0{r}b") if ok else "",
+        "requested": r,
+        "total_time": text(sum((rec[2].elapsed for rec in records), Fraction(0))),
+        "total_setup": text(sum((rec[3] for rec in records), Fraction(0))),
+        "stage_elapsed": [text(rec[2].elapsed) for rec in records],
+        "details": {"level": r, "grid_timeouts": timeouts,
+                    "bracket": [lesser, greater]},
+    }
     return records, report

@@ -127,6 +127,13 @@ class TestEstimate:
         assert "digits: 0" in out
         assert "zeta=12289" in out
 
+    def test_kinematic_exact_target_counts_on_the_kernel(self, capsys):
+        code = main(["estimate", "--mass", "rational:1/3", "--k", "1",
+                     "--epsilon", "1/8", "--timing", "kinematic"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "engine=thresholds-py" in out
+
     def test_requires_epsilon(self, capsys):
         code = main(["estimate", "--mass", "rational:1/7", "--k", "1"])
         assert code == EXIT_CONFIG
@@ -262,6 +269,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("command, mode, wait", [
+        ("measure", "errorfree", "interrupt"), ("estimate", "fixed", "full")])
+    def test_help_names_each_command_default(self, command, mode, wait, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"mass manufacturing precision (default {mode})" in text
+        assert f"wait out the budget (default {wait})" in text
 
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit):

@@ -129,9 +129,11 @@ class TestNumericHelpers:
         assert t == 0 or (1 << (t - 1)) <= x
 
     def test_to_fraction_and_text(self):
-        assert to_fraction(Dyadic(3, 2)) == Fraction(3, 4)
+        assert to_fraction(3) == Fraction(3)
         assert to_fraction("5/10") == Fraction(1, 2)
+        half = Fraction(1, 2)
+        assert to_fraction(half) is half
         assert fraction_text(Fraction(6, 4)) == "3/2"
         assert fraction_text(Fraction(4, 2)) == "2"
-        assert fraction_text(Dyadic(1, 3)) == "1/8"
+        assert fraction_text(Fraction(1, 8)) == "1/8"
         assert fraction_text(0) == "0"

@@ -11,6 +11,16 @@ W = kernels._LANES
 TOP = (1 << 64) - 1
 
 
+def pair(x):
+    return x.numerator, x.denominator
+
+
+def count(seed, stream, zeta, z, epsilon, mu, eta):
+    """kernels.count_outcomes at the protocol-timing cutoffs mu -/+ eta."""
+    return kernels.count_outcomes(seed, stream, zeta, z, epsilon,
+                                  pair(mu - eta), pair(mu + eta))
+
+
 def brute_force(seed, stream, zeta, z, epsilon, mu, eta):
     n_less = n_great = 0
     for k in range(zeta):
@@ -57,27 +67,24 @@ class TestCounting:
             mu = z + Fraction(gen.randrange(-8, 9), 512)
             eta = Fraction(1, gen.choice([256, 1024, 4096]))
             seed = gen.randrange(1 << 32)
-            got = kernels.count_outcomes(seed, trial, 300, z, epsilon, mu, eta)
+            got = count(seed, trial, 300, z, epsilon, mu, eta)
             want = brute_force(seed, trial, 300, z, epsilon, mu, eta)
             assert got == want
 
     def test_degenerate_all_lesser(self):
-        counts = kernels.count_outcomes(5, 0, 128, Fraction(1, 4),
-                                        Fraction(1, 8), Fraction(3, 4),
-                                        Fraction(1, 100))
+        counts = count(5, 0, 128, Fraction(1, 4), Fraction(1, 8),
+                       Fraction(3, 4), Fraction(1, 100))
         assert counts == (128, 0)
 
     def test_degenerate_all_greater(self):
-        counts = kernels.count_outcomes(5, 0, 128, Fraction(3, 4),
-                                        Fraction(1, 8), Fraction(1, 4),
-                                        Fraction(1, 100))
+        counts = count(5, 0, 128, Fraction(3, 4), Fraction(1, 8),
+                       Fraction(1, 4), Fraction(1, 100))
         assert counts == (0, 128)
 
     def test_degenerate_all_timeouts(self):
         # eta swamps the whole draw window
-        counts = kernels.count_outcomes(5, 0, 128, Fraction(1, 2),
-                                        Fraction(1, 64), Fraction(1, 2),
-                                        Fraction(1, 4))
+        counts = count(5, 0, 128, Fraction(1, 2), Fraction(1, 64),
+                       Fraction(1, 2), Fraction(1, 4))
         assert counts == (0, 0)
 
 

@@ -328,6 +328,37 @@ class TestBatchedQueries:
         want = self.brute_counts(seed, 0, zeta, z, eps, mu, cfg.K / budget)
         assert (batch.n_lesser, batch.n_greater, batch.n_timeout) == want
 
+    # mu = z + a eps / 8; the budget b/8 * 2 c / eps puts the kinematic
+    # window about eps wide, and b <= 4 eps gives T <= c (nothing greater)
+    @settings(max_examples=40, deadline=None)
+    @given(word=st.text("01", min_size=1, max_size=5), eps_bits=st.integers(1, 6),
+           a=st.integers(-12, 12), q=st.sampled_from([1, 3, 7]),
+           b=st.integers(1, 40), ru=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           zeta=st.integers(1, 200), seed=st.integers(0, 2**16))
+    @example(word="1", eps_bits=1, a=3, q=7, b=2, ru=(1, 1), zeta=200, seed=0)
+    @example(word="1", eps_bits=1, a=3, q=1, b=1, ru=(2, 3), zeta=200, seed=1)
+    def test_kinematic_exact_batches_count_like_the_per_trial_path(
+            self, word, eps_bits, a, q, b, ru, zeta, seed):
+        z = word_to_dyadic("0" + word).as_fraction()
+        eps = Fraction(1, 1 << eps_bits)
+        mu = z + Fraction(a, 8 * q) * eps
+        assume(0 <= z - eps and z + eps <= 1 and 0 < mu < 1)
+        c = Fraction(*ru)
+        budget = Fraction(b, 8) * 2 * c / eps
+        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY, timing="kinematic",
+                           flag_distance=Fraction(ru[0]), launch_speed=Fraction(ru[1]),
+                           wait_policy=WaitPolicy.FULL_BUDGET, seed=seed)
+        kernel = CollisionOracle(from_rational(mu.numerator, mu.denominator), cfg)
+        got = kernel.batch_query("0" + word, budget, zeta, epsilon=eps)
+        assert got.engine == "thresholds-py"
+        # the same target as a digit stream takes the certified per-trial path
+        n, d = mu.numerator, mu.denominator
+        stream = CollisionOracle(custom(lambda i: (n << i) // d & 1), cfg)
+        want = stream.batch_query("0" + word, budget, zeta, epsilon=eps)
+        assert want.engine == "per-trial"
+        assert (got.n_lesser, got.n_greater, got.n_timeout) == \
+            (want.n_lesser, want.n_greater, want.n_timeout)
+
     def test_batch_requires_full_budget(self):
         oracle = CollisionOracle(from_rational(1, 3))
         with pytest.raises(ConfigError):
@@ -514,6 +545,63 @@ class TestStreamQueriesMatchReferenceModel:
             assert (str(rec.outcome), rec.elapsed, rec.probe_depth,
                     rec.hidden["m_star"]) == (want.outcome, want.elapsed,
                                               want.probe_depth, want.m_star)
+
+
+class TestExactQueriesMatchReferenceModel:
+    """Queries on exact targets decide, bill and draw like the closed-form
+    Fraction transcription in tests/reference_model.py, record by record.
+    A query may be fired at exactly its error-free arrival time, which is
+    a timeout."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.tuples(st.integers(0, 64), st.sampled_from([1, 3, 7, 64, 96])),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           K=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+           ru=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           N=st.sampled_from([0, 0, 1, 16]),
+           mode=st.sampled_from(list(PrecisionMode)),
+           eps_bits=st.integers(1, 60),
+           wait=st.sampled_from(list(WaitPolicy)),
+           seed=st.integers(0, 2**16),
+           # (word, e, q, on_edge): the budget 2**e / q, or the word's own
+           # error-free arrival time when on_edge
+           queries=st.lists(st.tuples(st.text("01", max_size=10), st.integers(0, 40),
+                                      st.integers(1, 15), st.booleans()),
+                            min_size=1, max_size=6))
+    @example(mu=(1, 3), timing="kinematic", K=(1, 1), ru=(1, 1), N=0,
+             mode=PrecisionMode.ERROR_FREE, eps_bits=1, wait=WaitPolicy.INTERRUPT,
+             seed=0, queries=[("01", 0, 1, True), ("001", 0, 1, True)])
+    @example(mu=(1, 3), timing="protocol", K=(3, 2), ru=(1, 1), N=0,
+             mode=PrecisionMode.ERROR_FREE, eps_bits=1, wait=WaitPolicy.INTERRUPT,
+             seed=0, queries=[("011", 0, 1, True), ("0001", 0, 1, True)])
+    def test_query_matches_reference_model(self, mu, timing, K, ru, N, mode, eps_bits,
+                                           wait, seed, queries):
+        mu = Fraction(min(mu[0], mu[1]), mu[1])
+        eps = Fraction(1, 1 << eps_bits)
+        cfg = OracleConfig(K=Fraction(*K), N=Fraction(N, 16), timing=timing,
+                           flag_distance=Fraction(ru[0]), launch_speed=Fraction(ru[1]),
+                           mode=mode, epsilon=eps if mode is PrecisionMode.FIXED else None,
+                           wait_policy=wait, seed=seed, record_hidden=True)
+        app = reference_model.Apparatus(
+            K=cfg.K, N=cfg.N, timing=timing, flag_distance=cfg.flag_distance,
+            launch_speed=cfg.launch_speed, interrupt=wait is WaitPolicy.INTERRUPT,
+            seed=seed)
+        source = from_rational(mu.numerator, mu.denominator)
+        oracle = CollisionOracle(source, cfg)
+        for index, (bits, e, q, on_edge) in enumerate(queries):
+            word = "0" + bits
+            z = reference_model.word_value(word)
+            budget = Fraction(1 << e, q)
+            if on_edge and z != mu:
+                budget = reference_model.law(app, z, mu) / abs(z - mu)
+            rec = oracle.query(word, budget,
+                               epsilon=eps if mode is PrecisionMode.ARBITRARY else None)
+            want = reference_model.query(
+                app, source, index, word, budget,
+                None if mode is PrecisionMode.ERROR_FREE else eps)
+            assert (str(rec.outcome), rec.elapsed, rec.probe_depth, rec.hidden) == \
+                (want.outcome, want.elapsed, want.probe_depth,
+                 {"m_star": want.m_star, "jitter": want.jitter})
 
 
 class TestTranscripts:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
@@ -180,6 +180,86 @@ class TestBisectionMatchesReferenceModel:
              for word, budget, res, setup in records]
         assert (rep.digits, rep.status(), rep.total_time, rep.total_setup) == \
             (want["digits"], want["status"], want["total_time"], want["total_setup"])
+
+ULP = Fraction(1, 1 << 64)
+
+
+class TestGridSweepMatchesReferenceModel:
+    """The grid sweep writes the transcript and report of the Fraction
+    transcription in tests/reference_model.py, which fires every grid
+    point one by one, record by record.  The target sits on a window edge
+    of a grid point (an edge arrival is a timeout), an ulp to either side
+    of one, or on a grid point."""
+
+    @staticmethod
+    def target(timing, K, T, c, place, p, r, ulps):
+        """mu with the grid point p/2**r on its lo or hi cutoff, plus ulps."""
+        g = Fraction(p, 1 << r)
+        if place == "lo":      # g = mu - K/T, or mu (T - c)/(T + c)
+            mu = g + K / T if timing == "protocol" else (
+                g * (T + c) / (T - c) if T > c else g)
+        elif place == "hi":    # g = mu + K/T, or mu (T + c)/(T - c)
+            mu = g - K / T if timing == "protocol" else (
+                g * (T - c) / (T + c) if T > c else g)
+        else:
+            mu = g
+        return mu + ulps * ULP
+
+    @settings(max_examples=100, deadline=None)
+    @given(timing=st.sampled_from(["protocol", "kinematic"]),
+           K=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+           c_over_T=st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(15, 16),
+                                     Fraction(1), Fraction(2)]),
+           u=st.integers(1, 9),
+           c_setup=st.integers(0, 3),
+           r=st.integers(1, 8),
+           N=st.sampled_from([0, 0, 0, 3]),
+           abort=st.booleans(),
+           hidden=st.booleans(),
+           place=st.sampled_from(["lo", "hi", "grid"]),
+           p=st.integers(0, 256),
+           ulps=st.sampled_from([-1, 0, 1]),
+           seed=st.integers(0, 2**16))
+    @example(timing="protocol", K=(1, 1), c_over_T=Fraction(1), u=1, c_setup=1,
+             r=3, N=0, abort=True, hidden=True, place="lo", p=2, ulps=0, seed=0)
+    @example(timing="protocol", K=(3, 2), c_over_T=Fraction(1), u=1, c_setup=2,
+             r=4, N=0, abort=False, hidden=False, place="hi", p=7, ulps=0, seed=0)
+    @example(timing="kinematic", K=(1, 1), c_over_T=Fraction(1, 2), u=3, c_setup=1,
+             r=3, N=0, abort=True, hidden=True, place="lo", p=3, ulps=0, seed=0)
+    @example(timing="kinematic", K=(2, 1), c_over_T=Fraction(1, 8), u=1, c_setup=1,
+             r=5, N=0, abort=False, hidden=False, place="hi", p=9, ulps=0, seed=0)
+    @example(timing="kinematic", K=(1, 1), c_over_T=Fraction(2), u=1, c_setup=1,
+             r=3, N=0, abort=True, hidden=False, place="grid", p=3, ulps=1, seed=0)
+    @example(timing="kinematic", K=(1, 1), c_over_T=Fraction(1), u=2, c_setup=0,
+             r=2, N=0, abort=False, hidden=True, place="grid", p=1, ulps=-1, seed=0)
+    def test_grid_sweep_matches_reference_model(self, timing, K, c_over_T, u, c_setup,
+                                                r, N, abort, hidden, place, p, ulps,
+                                                seed):
+        Kf = Fraction(*K)
+        T = Kf * (1 << (2 * r + 1))
+        c = c_over_T * T
+        p %= (1 << r) + 1
+        mu = self.target(timing, Kf, T, c, place, p, r, ulps)
+        assume(0 <= mu <= 1)
+        cfg = OracleConfig(K=Kf, N=Fraction(N, 4), c_setup=c_setup, timing=timing,
+                           flag_distance=c * u, launch_speed=Fraction(u), seed=seed,
+                           wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=hidden,
+                           timeout_reaction=TimeoutReaction.ABORT if abort
+                           else TimeoutReaction.RETURN)
+        app = reference_model.Apparatus(
+            K=Kf, N=cfg.N, timing=timing, flag_distance=cfg.flag_distance,
+            launch_speed=cfg.launch_speed, interrupt=False, seed=seed,
+            c_setup=cfg.c_setup)
+        oracle = CollisionOracle(from_rational(mu.numerator, mu.denominator), cfg)
+        rep = grid_sweep(oracle, r)
+        records, want = reference_model.grid_sweep(
+            app, from_rational(mu.numerator, mu.denominator), r)
+        assert [(rec.to_dict(), rec.probe_depth, rec.hidden) for rec in oracle.transcript] == \
+            [(reference_model.record_dict(i, word, budget, res, setup), None,
+              {"m_star": res.m_star, "jitter": res.jitter} if hidden else {})
+             for i, (word, budget, res, setup) in enumerate(records)]
+        assert rep.to_dict() == want
+
 
 class TestGridSweep:
     def grid_config(self, **kw):

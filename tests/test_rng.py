@@ -1,7 +1,3 @@
-from fractions import Fraction
-
-import pytest
-
 from collidersim import rng
 
 
@@ -41,27 +37,11 @@ class TestRaw64:
         vals = {rng.raw64(5, 0, c) for c in range(64)}
         assert len(vals) == 64
 
-
-class TestUnitFraction:
-    def test_in_unit_interval(self):
-        for c in range(100):
-            u = rng.unit_fraction(3, 1, c)
-            assert 0 <= u < 1
-            assert u.denominator <= 1 << 64
-
-    def test_reduced_bits(self):
-        u = rng.unit_fraction(3, 1, 4, bits=8)
-        assert u.denominator <= 256
-
-    def test_rejects_wide_draws(self):
-        with pytest.raises(ValueError):
-            rng.unit_fraction(0, 0, 0, bits=65)
-
     def test_rough_uniformity(self):
         # quartile occupancy of 4000 draws; a crude sanity check only
         buckets = [0] * 4
         for c in range(4000):
-            buckets[int(rng.unit_fraction(1, 2, c) * 4)] += 1
+            buckets[rng.raw64(1, 2, c) >> 62] += 1
         assert all(800 < b < 1200 for b in buckets)
 
 
