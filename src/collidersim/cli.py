@@ -43,6 +43,7 @@ _MODES = {
     "fixed": PrecisionMode.FIXED,
 }
 _WAITS = {"interrupt": WaitPolicy.INTERRUPT, "full": WaitPolicy.FULL_BUDGET}
+_JSONL = json.JSONEncoder(sort_keys=True)    # json.dumps would build one per line
 _REACTIONS = {"return": TimeoutReaction.RETURN, "abort": TimeoutReaction.ABORT}
 
 
@@ -130,8 +131,7 @@ def _write_outputs(outdir: str, files: dict, parameters: dict) -> None:
 
 
 def _transcript_jsonl(oracle: CollisionOracle) -> str:
-    return "".join(json.dumps(rec.to_dict(), sort_keys=True) + "\n"
-                   for rec in oracle.transcript)
+    return "".join(_JSONL.encode(rec.to_dict()) + "\n" for rec in oracle.transcript)
 
 
 def cmd_measure(args) -> int:

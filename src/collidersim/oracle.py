@@ -143,12 +143,22 @@ class OracleConfig:
             raise ConfigError("probe_depth_cap must be >= 8")
 
 
+class _Worded:
+    """A record's word is the only copy of its test mass z and of z's length."""
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(int(self.word, 2), 1 << len(self.word) - 1)
+
+    @property
+    def z_length(self) -> int:
+        return len(self.word)
+
+
 @dataclass
-class QueryRecord:
+class QueryRecord(_Worded):
     index: int
     word: str
-    z: Fraction
-    z_length: int
     budget: Fraction
     outcome: Outcome
     elapsed: Fraction
@@ -165,9 +175,10 @@ class QueryRecord:
     def mass_interval(self) -> tuple:
         """What the experimenter knows about the realized projectile mass:
         a single point when error-free, the tolerance window otherwise."""
+        z = self.z
         if self.epsilon is None:
-            return self.z, self.z
-        return max(_ZERO, self.z - self.epsilon), min(_ONE, self.z + self.epsilon)
+            return z, z
+        return max(_ZERO, z - self.epsilon), min(_ONE, z + self.epsilon)
 
     def to_dict(self) -> dict:
         d = {
@@ -185,13 +196,11 @@ class QueryRecord:
 
 
 @dataclass
-class BatchRecord:
+class BatchRecord(_Worded):
     """Aggregate of zeta repetitions of one query at one budget."""
 
     index: int
     word: str
-    z: Fraction
-    z_length: int
     budget: Fraction
     zeta: int
     n_lesser: int
@@ -232,13 +241,15 @@ class CollisionOracle:
         self.source = source
         self.config = config or OracleConfig()
         self.transcript: list = []
-        # c_setup * word length, built once per length; records share them
+        # c_setup * word length, kept for the last length billed only (a sweep
+        # repeats its length, a bisection never does); records share it
         self._setup: dict = {}
 
     # -- draws ------------------------------------------------------------
 
-    def _draw_mass(self, z: Fraction, epsilon: Optional[Fraction], stream: int,
-                   trial: int = 0) -> Fraction:
+    def _draw_mass(self, z: tuple, epsilon: Optional[Fraction], stream: int,
+                   trial: int = 0) -> tuple:
+        """m* as an unreduced (n, d) pair, d > 0, for z = (zn, zd)."""
         cfg = self.config
         if cfg.mode is PrecisionMode.ERROR_FREE:
             return z
@@ -246,16 +257,16 @@ class CollisionOracle:
             raise ConfigError("this precision mode needs a tolerance")
         r = rng.raw64(cfg.seed, stream, 2 * trial)
         # z - eps + 2 eps r / 2**64 over the common denominator zd ed 2**64
-        zn, zd, en, ed = z.numerator, z.denominator, epsilon.numerator, epsilon.denominator
+        (zn, zd), en, ed = z, epsilon.numerator, epsilon.denominator
         num = ((zn * ed - en * zd) << 64) + 2 * en * zd * r
         den = zd * ed << 64
         # clip at the domain boundary; only reachable when the tolerance
         # window leaves [0, 1], and boundary hits have probability zero
         if num < 0:
-            return _ZERO
+            return 0, 1
         if num > den:
-            return _ONE
-        return Fraction(num, den)
+            return 1, 1
+        return num, den
 
     def _draw_jitter(self, stream: int, trial: int = 0) -> Fraction:
         cfg = self.config
@@ -286,12 +297,11 @@ class CollisionOracle:
             elapsed = arrival
 
         record = QueryRecord(
-            index=index, word=word, z=z, z_length=len(word), budget=budget,
-            outcome=outcome, elapsed=elapsed, setup=self._setup_cost(len(word)),
-            epsilon=epsilon, probe_depth=depth,
+            index=index, word=word, budget=budget, outcome=outcome, elapsed=elapsed,
+            setup=self._setup_cost(len(word)), epsilon=epsilon, probe_depth=depth,
         )
         if cfg.record_hidden:
-            record.hidden["m_star"] = m_star
+            record.hidden["m_star"] = Fraction(*m_star)
             record.hidden["jitter"] = jitter
         self.transcript.append(record)
         if outcome is Outcome.TIMEOUT and cfg.timeout_reaction is TimeoutReaction.ABORT:
@@ -301,7 +311,7 @@ class CollisionOracle:
     def _setup_cost(self, length: int) -> Fraction:
         setup = self._setup.get(length)
         if setup is None:
-            setup = self._setup[length] = self.config.c_setup * length
+            self._setup = {length: (setup := self.config.c_setup * length)}
         return setup
 
     def fire_grid(self, r: int, budget: Fraction) -> list:
@@ -334,24 +344,25 @@ class CollisionOracle:
                 except TimeoutExceeded:
                     pass
             else:
-                z = Fraction(p, n)
-                record = QueryRecord(len(self.transcript), word, z, len(word), budget,
+                record = QueryRecord(len(self.transcript), word, budget,
                                      Outcome.LESSER if p < first else Outcome.GREATER,
                                      budget, setup if p < n else self._setup_cost(1))
                 if cfg.record_hidden:
-                    record.hidden.update(m_star=z, jitter=_ZERO)
+                    record.hidden.update(m_star=Fraction(p, n), jitter=_ZERO)
                 self.transcript.append(record)
         return self.transcript[start:]
 
     def _resolve(self, word: str, budget, epsilon):
         """Checked (z, budget, epsilon) of a query, shared by both query kinds.
 
-        The returned epsilon is the tolerance the draws use: the global one
-        in FIXED mode, the per-query one in ARBITRARY mode, and None for
+        z is the word's value as the integer pair (num, 2**exp).  The
+        returned epsilon is the tolerance the draws use: the global one in
+        FIXED mode, the per-query one in ARBITRARY mode, and None for
         exactly manufactured masses.
         """
         cfg = self.config
-        z = word_to_dyadic(word).as_fraction()
+        d = word_to_dyadic(word)
+        z = d.num, 1 << d.exp
         budget = to_fraction(budget)
         if budget.numerator <= 0:
             raise ConfigError("budget must be positive")
@@ -373,9 +384,10 @@ class CollisionOracle:
 
     # -- decision core ------------------------------------------------------
 
-    def _decide(self, m_star: Fraction, jitter: Fraction, budget: Fraction,
+    def _decide(self, m_star: tuple, jitter: Fraction, budget: Fraction,
                 need_arrival: bool = True):
-        """Outcome, arrival time (None on timeout), probe depth used.
+        """Outcome, arrival time (None on timeout), probe depth used, for
+        m* = mn/md given as the pair (mn, md).
 
         An answer requires arrival strictly before the deadline; an
         arrival exactly at the deadline is a timeout.  That strictness
@@ -390,7 +402,7 @@ class CollisionOracle:
         exact = self.source.exact_value
         if exact is None:
             return self._decide_probed(m_star, jitter, deadline, need_arrival)
-        mn, md, un, ud = m_star.numerator, m_star.denominator, exact.numerator, exact.denominator
+        (mn, md), un, ud = m_star, exact.numerator, exact.denominator
         diff = mn * ud - un * md
         lo, hi = self.cutoffs(deadline)
         # only the cutoff on m*'s own side of mu can be crossed
@@ -448,7 +460,7 @@ class CollisionOracle:
         return side, a, b, x, x + md
 
     def _decide_probed(self, m_star, jitter, deadline, need_arrival=True):
-        mn, md = m_star.numerator, m_star.denominator
+        mn, md = m_star
         cn, cd = self._law(0, 1, 1, 1)
         tn, td = deadline.numerator, deadline.denominator
         # digits enough to see the smallest gap that could still answer,
@@ -487,9 +499,9 @@ class CollisionOracle:
         reaches both need and four times the probe cap.
         """
         bits = self._CLOCK_BITS
-        mn, md = m_star.numerator, m_star.denominator
+        mn, md = m_star
         cn, cd = self._law(0, 1, 1, 1)
-        a, _, _ = distance_bracket(self.source, m_star, depth_hint)
+        a, _, _ = distance_bracket(self.source, Fraction(mn, md), depth_hint)
         ln, ld = self._law(mn, md, 1, 1)
         need = ((ln * a.denominator ** 2 << bits + 2) // (ld * a.numerator ** 2)).bit_length()
 
@@ -524,19 +536,19 @@ class CollisionOracle:
         if cfg.wait_policy is not WaitPolicy.FULL_BUDGET:
             raise ConfigError("batched queries require WaitPolicy.FULL_BUDGET")
         z, budget, epsilon = self._resolve(word, budget, epsilon)
-        index = len(self.transcript)
+        zf, index = Fraction(*z), len(self.transcript)
         exact = self.source.exact_value
         usable_kernel = (
             epsilon is not None
             and cfg.N == 0
             and exact is not None
-            and z - epsilon >= 0
-            and z + epsilon <= 1
+            and zf - epsilon >= 0
+            and zf + epsilon <= 1
         )
         if usable_kernel:
             from . import kernels
             n_less, n_great = kernels.count_outcomes(
-                cfg.seed, index, zeta, z, epsilon, *self.cutoffs(budget))
+                cfg.seed, index, zeta, zf, epsilon, *self.cutoffs(budget))
             engine = kernels.engine_name()
         else:
             n_less = n_great = 0
@@ -552,7 +564,7 @@ class CollisionOracle:
 
         setup_total = cfg.c_setup * len(word) * zeta
         record = BatchRecord(
-            index=index, word=word, z=z, z_length=len(word), budget=budget,
+            index=index, word=word, budget=budget,
             zeta=zeta, n_lesser=n_less, n_greater=n_great,
             n_timeout=zeta - n_less - n_great,
             elapsed_total=budget * zeta, setup_total=setup_total,
@@ -566,9 +578,6 @@ class CollisionOracle:
     @property
     def total_elapsed(self) -> Fraction:
         return sum((r.total_time for r in self.transcript), Fraction(0))
-
-    def reset(self) -> None:
-        self.transcript.clear()
 
 
 def timeout_window(config: OracleConfig, budget) -> Fraction:

@@ -1,4 +1,4 @@
-"""Reference model of oracle queries, bisection and the grid sweep.
+"""Reference model of oracle queries, batches, bisection and the grid sweep.
 
 A straight `Fraction` transcription of the experiment that `oracle.py`
 describes, with no cross-multiplication and no shortcut:
@@ -17,6 +17,9 @@ describes, with no cross-multiplication and no shortcut:
   deepen until the arrival enclosure is under one 2**-48 tick, then floor
   to the tick grid and add the jitter;
 - interrupt or full-budget billing;
+- a batch of zeta repetitions of one query, counted trial by trial: trial
+  t draws its mass and its jitter from draws 2t and 2t + 1 of the query's
+  substream, and every repetition waits out the whole budget;
 - bisection: keep the bracket [lo, hi) around the target, fire the word
   of its midpoint at the schedule's budget for that word's length, and
   stop at the first timeout;
@@ -26,14 +29,15 @@ describes, with no cross-multiplication and no shortcut:
 The target's digits are read through `MassSource.prefix_int`, and an
 exact target's value through `MassSource.exact_value`.  This module
 imports nothing from `oracle`, `kernels` or `procedures`, so property
-tests can hold `CollisionOracle.query`, `procedures.bisection` and
+tests can hold `CollisionOracle.query`, the per-trial path of
+`CollisionOracle.batch_query`, `procedures.bisection` and
 `procedures.grid_sweep` to it record by record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -74,17 +78,17 @@ def word_value(word: str) -> Fraction:
 
 
 def draw_mass(app: Apparatus, z: Fraction, epsilon: Optional[Fraction],
-              index: int) -> Fraction:
+              index: int, trial: int = 0) -> Fraction:
     if epsilon is None:
         return z
-    u = Fraction(rng.raw64(app.seed, index, 0), 1 << 64)
+    u = Fraction(rng.raw64(app.seed, index, 2 * trial), 1 << 64)
     return min(max(z - epsilon + 2 * epsilon * u, Fraction(0)), Fraction(1))
 
 
-def draw_jitter(app: Apparatus, index: int) -> Fraction:
+def draw_jitter(app: Apparatus, index: int, trial: int = 0) -> Fraction:
     if app.N == 0:
         return Fraction(0)
-    u = Fraction(rng.raw64(app.seed, index, 1), 1 << 64)
+    u = Fraction(rng.raw64(app.seed, index, 2 * trial + 1), 1 << 64)
     return -app.N + 2 * app.N * u
 
 
@@ -142,10 +146,10 @@ def clock_reading(app: Apparatus, src, m: Fraction, depth: int,
 
 
 def query(app: Apparatus, src, index: int, word: str, budget: Fraction,
-          epsilon: Optional[Fraction] = None) -> Result:
+          epsilon: Optional[Fraction] = None, trial: int = 0) -> Result:
     """Query number `index` of a run: the mass z of `word` against src."""
-    m = draw_mass(app, word_value(word), epsilon, index)
-    jitter = draw_jitter(app, index)
+    m = draw_mass(app, word_value(word), epsilon, index, trial)
+    jitter = draw_jitter(app, index, trial)
     mu = src.exact_value
     if mu is not None:
         if m == mu:
@@ -171,6 +175,15 @@ def query(app: Apparatus, src, index: int, word: str, budget: Fraction,
         if earliest >= deadline:
             break
     return Result("timeout", budget, depth, m, jitter)
+
+
+def batch_counts(app: Apparatus, src, index: int, word: str, budget: Fraction,
+                 zeta: int, epsilon: Optional[Fraction] = None) -> tuple:
+    """(n_lesser, n_greater) of zeta repetitions of query number `index`."""
+    full = replace(app, interrupt=False)
+    outcomes = [query(full, src, index, word, budget, epsilon, trial).outcome
+                for trial in range(zeta)]
+    return outcomes.count("lesser"), outcomes.count("greater")
 
 
 def record_dict(index: int, word: str, budget: Fraction, result: Result,

@@ -171,6 +171,16 @@ class TestNoisyModes:
         assert rec.hidden["m_star"] == 0
         assert rec.mass_interval == (Fraction(0), Fraction(1, 4))
 
+    def test_boundary_draw_clips_to_one(self):
+        # seed 1, stream 0: the raw draw is above half scale, so the
+        # window [3/4, 5/4] around z = 1 clips at the ceiling
+        assert rng.raw64(1, 0, 0) > 1 << 63
+        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY, record_hidden=True, seed=1)
+        oracle = CollisionOracle(from_rational(1, 3), cfg)
+        rec = oracle.query("1", 10, epsilon=Fraction(1, 4))
+        assert rec.hidden["m_star"] == 1
+        assert rec.mass_interval == (Fraction(3, 4), Fraction(1))
+
     def test_jitter_shifts_arrival(self):
         cfg = OracleConfig(N=Fraction(1, 8), record_hidden=True, seed=3)
         oracle = CollisionOracle(from_rational(1, 3), cfg)
@@ -178,6 +188,43 @@ class TestNoisyModes:
         assert rec.outcome is Outcome.GREATER
         assert rec.elapsed == 6 + rec.hidden["jitter"]
         assert abs(rec.hidden["jitter"]) <= Fraction(1, 8)
+
+
+class TestRecordValues:
+    """A record keeps only its word: z, z_length and mass_interval are
+    read off it."""
+
+    @pytest.mark.parametrize("word, z", [("0", Fraction(0)), ("1", Fraction(1)),
+                                         ("0100", Fraction(1, 2))])
+    def test_values_of_a_word(self, word, z):
+        rec = CollisionOracle(from_rational(1, 3)).query(word, 10)
+        assert (rec.z, rec.z_length, rec.mass_interval) == (z, len(word), (z, z))
+        assert rec.to_dict()["z"] == word and rec.to_dict()["z_length"] == len(word)
+        eps = Fraction(1, 8)
+        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY)
+        rec = CollisionOracle(from_rational(1, 3), cfg).query(word, 10, epsilon=eps)
+        assert rec.mass_interval == (max(z - eps, 0), min(z + eps, 1))
+        batch = CollisionOracle(from_rational(1, 3), OracleConfig(
+            wait_policy=WaitPolicy.FULL_BUDGET)).batch_query(word, 10, 3)
+        assert (batch.z, batch.z_length) == (z, len(word))
+
+    def test_every_record_of_an_exact_sweep(self):
+        cfg = OracleConfig(wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=True)
+        oracle = CollisionOracle(from_rational(1, 3), cfg)
+        queried = []
+        oracle.query = lambda word, budget: queried.append(word) or \
+            CollisionOracle.query(oracle, word, budget)
+        recs = oracle.fire_grid(3, Fraction(128))
+        # 1/3 lies between 2/8 and 3/8; only those two words are queried,
+        # and fire_grid writes the other seven records itself
+        assert queried == ["0010", "0011"]
+        assert [rec.word for rec in recs] == \
+            ["0" + format(p, "03b") for p in range(8)] + ["1"]
+        for p, rec in enumerate(recs):
+            z = Fraction(p, 8)
+            assert (rec.z, rec.z_length, rec.mass_interval) == \
+                (z, 4 if p < 8 else 1, (z, z))
+            assert rec.hidden["m_star"] == z
 
 
 class TestQueryArgumentChecks:
@@ -385,6 +432,61 @@ class TestBatchedQueries:
             oracle.batch_query("01", 6400, 16, epsilon=Fraction(1, 32))
         rec = oracle.batch_query("01", 6400, 16, epsilon=Fraction(1, 64))
         assert rec.epsilon == Fraction(1, 64)
+
+
+class TestPerTrialBatchesMatchReferenceModel:
+    """A batch on a digit-stream target counts its trials one by one, and
+    holds to the reference model's trial-by-trial count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream=st.one_of(
+               st.tuples(st.just("pattern"),
+                         st.lists(st.integers(1, 6), min_size=1, max_size=5)),
+               st.tuples(st.just("custom"), st.integers(0, 2**16))),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           K=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+           N=st.sampled_from([0, 0, 1, 16]),
+           mode=st.sampled_from([PrecisionMode.FIXED, PrecisionMode.ARBITRARY]),
+           eps_bits=st.integers(1, 16),
+           cap=st.one_of(st.integers(8, 64), st.just(4096)),
+           seed=st.integers(0, 2**16),
+           # (L, flip, e, q, zeta): the word 0.d1...dL from the target's
+           # first L digits, its last digit flipped or not, at the budget
+           # 2**e / q, repeated zeta times
+           batches=st.lists(st.tuples(st.integers(0, 24), st.booleans(),
+                                      st.integers(0, 40), st.integers(1, 15),
+                                      st.integers(1, 24)),
+                            min_size=1, max_size=3))
+    # the tolerance window straddles the target: both answers and timeouts
+    @example(stream=("pattern", [3, 2, 4]), timing="protocol", K=(1, 1), N=1,
+             mode=PrecisionMode.ARBITRARY, eps_bits=6, cap=4096, seed=0,
+             batches=[(8, False, 10, 1, 24)])
+    # z = 1/2 arrives about 2.5 after firing at a target near 0.9: each
+    # trial's own jitter in [-1, 1] decides whether it beats the budget 2
+    @example(stream=("pattern", [3, 2, 4]), timing="protocol", K=(1, 1), N=16,
+             mode=PrecisionMode.FIXED, eps_bits=16, cap=4096, seed=0,
+             batches=[(1, False, 1, 1, 24)])
+    def test_counts_match_reference_model(self, stream, timing, K, N, mode,
+                                          eps_bits, cap, seed, batches):
+        eps = Fraction(1, 1 << eps_bits)
+        cfg = OracleConfig(K=Fraction(*K), N=Fraction(N, 16), timing=timing,
+                           mode=mode, epsilon=eps if mode is PrecisionMode.FIXED else None,
+                           wait_policy=WaitPolicy.FULL_BUDGET, probe_depth_cap=cap,
+                           seed=seed)
+        app = reference_model.Apparatus(K=cfg.K, N=cfg.N, timing=timing,
+                                        probe_depth_cap=cap, seed=seed)
+        make_source = TestStreamQueriesMatchReferenceModel.make_source
+        oracle, model_src = CollisionOracle(make_source(stream), cfg), make_source(stream)
+        for index, (length, flip, e, q, zeta) in enumerate(batches):
+            digits = format(model_src.prefix_int(length), f"0{length}b") if length else ""
+            if flip and digits:
+                digits = digits[:-1] + "10"[int(digits[-1])]
+            word, budget = "0" + digits, Fraction(1 << e, q)
+            rec = oracle.batch_query(word, budget, zeta,
+                                     epsilon=eps if mode is PrecisionMode.ARBITRARY else None)
+            assert rec.engine == "per-trial"
+            assert (rec.n_lesser, rec.n_greater) == reference_model.batch_counts(
+                app, model_src, index, word, budget, zeta, eps)
 
 
 class TestProbedMatchesExactProperty:
@@ -634,10 +736,9 @@ class TestTranscripts:
         assert rec.hidden
         assert "m_star" not in json.dumps(rec.to_dict())
 
-    def test_total_elapsed_and_reset(self):
+    def test_total_elapsed_sums_every_record(self):
         oracle = CollisionOracle(from_rational(1, 3))
+        assert oracle.total_elapsed == 0
         oracle.query("01", 10)
         oracle.query("001", 20)
         assert oracle.total_elapsed == (6 + 2) + (12 + 3)
-        oracle.reset()
-        assert oracle.total_elapsed == 0

@@ -349,6 +349,16 @@ class TestClosedFormAccounting:
                 start, before = len(oracle.transcript), oracle.total_elapsed
                 self.check(oracle, run(oracle), start, before)
 
+    def test_bisection_keeps_one_setup_cost(self):
+        # every bisection stage bills a new word length, so a cost kept per
+        # length would grow by one entry a stage
+        cfg = OracleConfig(c_setup=Fraction(2, 3), wait_policy=WaitPolicy.FULL_BUDGET)
+        oracle = CollisionOracle(from_rational(1, 3), cfg)
+        assert bisection(oracle, 400, schedule_exponential(1, 6)).complete
+        assert len(oracle._setup) <= 1
+        assert [rec.setup for rec in oracle.transcript] == \
+            [Fraction(2, 3) * len(rec.word) for rec in oracle.transcript]
+
 
 class TestConstantBudget:
     def test_enough_budget_completes(self):
