@@ -17,11 +17,11 @@ from .dyadic import Dyadic, validate_word, word_to_dyadic
 from .oracle import (BatchRecord, CollisionOracle, ConfigError, OracleConfig,
                      PrecisionMode, QueryRecord, TimeoutExceeded,
                      TimeoutReaction, WaitPolicy, timeout_window)
-from .sources import (GapProbe, MassSource, RunLengths, adversarial_mass,
+from .sources import (MassSource, RunLengths, adversarial_mass,
                       affine_of_source, custom, diagonal_run_lengths,
                       distance_bracket, from_dyadic, from_rational,
-                      from_run_lengths, gap_probe, load_mass_file,
-                      parse_fraction, parse_mass_spec)
+                      from_run_lengths, load_mass_file, parse_fraction,
+                      parse_mass_spec)
 from .procedures import (MeasurementReport, Schedule, adversarial_continuation,
                          bisection, builtin_schedules,
                          constant_budget_bisection, grid_failure_measure,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .sources import MassSource, parse_fraction
 
@@ -78,8 +78,7 @@ class PrefixFunction:
     """
 
     def __init__(self, fn: Callable[[int], str], a, b,
-                 stable_from: Optional[int] = None,
-                 binarize: bool = False, descriptor: str = "callable"):
+                 stable_from: Optional[int] = None, descriptor: str = "callable"):
         self.a = Fraction(a)
         self.b = Fraction(b)
         if self.a < 0 or self.b < 0:
@@ -87,7 +86,6 @@ class PrefixFunction:
         self.stable_from = stable_from
         self.descriptor = descriptor
         self._fn = fn
-        self._binarize = binarize
         self._cache: dict[int, str] = {}
 
     def __call__(self, n: int) -> str:
@@ -96,8 +94,6 @@ class PrefixFunction:
         v = self._cache.get(n)
         if v is None:
             v = self._fn(n)
-            if self._binarize:
-                v = binarize_8bit(v)
             if set(v) - {"0", "1"}:
                 raise ValueError(f"advice value at {n} is not binary: {v!r}")
             self._cache[n] = v
@@ -134,7 +130,7 @@ class PrefixFunction:
         if a is None:
             a = 0
         return cls(fn, a, b, stable_from=(keys[-1] if keys else 0),
-                   binarize=False, descriptor=descriptor)
+                   descriptor=descriptor)
 
     @classmethod
     def from_table_file(cls, path: str) -> "PrefixFunction":

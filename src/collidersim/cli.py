@@ -61,7 +61,11 @@ def _load_config_file(path: str) -> dict:
 
 def _choice(table: dict, text: str):
     """A flag name ("full"), or the value a config block records ("full-budget")."""
-    return table.get(text) or {e.value: e for e in table.values()}[text]
+    choices = {**{e.value: e for e in table.values()}, **table}
+    if text not in choices:
+        raise ValueError(f"unknown choice {text!r}: expected one of "
+                         f"{', '.join(sorted(choices))}")
+    return choices[text]
 
 
 def _resolve_config(args) -> OracleConfig:
@@ -75,11 +79,7 @@ def _resolve_config(args) -> OracleConfig:
             return str(file_cfg[key])
         return default
 
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = file_cfg.get("seed")
-    if seed is None:
-        seed = os.environ.get(SEED_ENV, "0")
+    seed = pick(getattr(args, "seed", None), "seed", os.environ.get(SEED_ENV, "0"))
     eps_text = pick(getattr(args, "epsilon", None), "epsilon", None)
     return OracleConfig(
         K=parse_fraction(pick(args.K, "K", "1")),

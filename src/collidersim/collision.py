@@ -116,20 +116,6 @@ def classify_outcome(m, mu) -> Outcome:
     return Outcome.NO_RESULT
 
 
-def classify_source_outcome(m, src, depth_budget: int) -> Outcome:
-    """Verdict against a digit-stream target, certified from its prefix.
-
-    Returns NO_RESULT both when the masses are equal and when
-    depth_budget digits cannot separate them, because the experiment
-    cannot tell those situations apart either.
-    """
-    from .sources import gap_probe
-    probe = gap_probe(src, to_fraction(m), depth_budget)
-    if not probe.proven:
-        return Outcome.NO_RESULT
-    return Outcome.LESSER if probe.side < 0 else Outcome.GREATER
-
-
 def uncertainty_product(m, mu, u=1, r=1) -> Fraction:
     """The literal product |m - mu| * experiment_time; demands distinct masses.
 

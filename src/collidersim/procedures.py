@@ -44,13 +44,6 @@ class Schedule:
             raise ValueError(f"schedule {self.descriptor} gave budget {value} at n={n}")
         return value
 
-    def scaled(self, factor) -> "Schedule":
-        factor = to_fraction(factor)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return Schedule(lambda n: factor * self._fn(n),
-                        f"{self.descriptor}*{factor}")
-
     def __repr__(self):
         return f"Schedule({self.descriptor})"
 
@@ -80,19 +73,13 @@ def schedule_constant(value) -> Schedule:
     return Schedule(lambda n: v, f"constant:{v}")
 
 
-def schedule_tabular(values: Sequence, extend_last: bool = True) -> Schedule:
+def schedule_tabular(values: Sequence) -> Schedule:
+    """T(n) is the n-th table entry; the last entry repeats past the end."""
     vals = [to_fraction(v) for v in values]
     if not vals:
         raise ValueError("empty budget table")
-
-    def fn(n: int) -> Fraction:
-        if n <= len(vals):
-            return vals[n - 1]
-        if extend_last:
-            return vals[-1]
-        raise ValueError(f"budget table has no entry for word length {n}")
-
-    return Schedule(fn, f"tabular:{len(vals)} entries")
+    return Schedule(lambda n: vals[min(n, len(vals)) - 1],
+                    f"tabular:{len(vals)} entries")
 
 
 def sufficient_exponential(K, u_max: int) -> Schedule:

@@ -13,10 +13,10 @@ That discipline is what makes timing questions decidable: a timeout
 verdict is issued only once the examined prefix proves the distance is
 too small, never from a floating-point shortcut.
 
-`refine` is the one deepening rule: every certified verdict (a proven
-gap, an oracle answer or timeout, a clock reading, a digit of an affine
-image) reads a prefix, and doubles its depth until the prefix settles
-the question or a digit horizon is reached.
+`refine` is the one deepening rule: every certified verdict (an oracle
+answer or timeout, a clock reading, a digit of an affine image) reads a
+prefix, and doubles its depth until the prefix settles the question or
+a digit horizon is reached.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class RunLengths:
         self._u: list[int] = []
         self._a: list[int] = []
         self.descriptor = descriptor
-
-    @classmethod
-    def from_function(cls, u_func: Callable[[int], int], descriptor: str = "function") -> "RunLengths":
-        return cls(u_func, descriptor)
 
     @classmethod
     def from_list(cls, values: Sequence[int], tail: str = "repeat-last") -> "RunLengths":
@@ -264,28 +260,6 @@ def refine(depth: int, cap: int,
         d = min(2 * d, cap)
 
 
-class GapProbe:
-    """Certificate from a finite prefix comparison of a test mass against a source.
-
-    proven=True:  |m - mu| >= gap is guaranteed (gap an exact rational > 0).
-    proven=False: the prefix to `depth` digits could not separate them, which
-    itself certifies |m - mu| < 2**-depth.
-    """
-
-    __slots__ = ("proven", "gap", "depth", "side")
-
-    def __init__(self, proven: bool, gap: Optional[Fraction], depth: int, side: int):
-        self.proven = proven
-        self.gap = gap
-        self.depth = depth
-        self.side = side  # -1: m < mu, +1: m > mu, 0: unknown
-
-    def __repr__(self):
-        if self.proven:
-            return f"ProvenGap({self.gap}, depth={self.depth}, side={self.side:+d})"
-        return f"Unresolved(depth={self.depth})"
-
-
 def prefix_bracket(p: int, mn: int, md: int, depth: int) -> tuple[int, int, int]:
     """(side, a, b) with a <= D |m - mu| <= b, for m = mn/md and mu in
     [p, p+1) / 2**depth, in integers over D = md * 2**depth.
@@ -312,43 +286,6 @@ def distance_bracket(src: MassSource, m, depth: int) -> tuple[Fraction, Fraction
     side, a, b = prefix_bracket(p, mf.numerator, mf.denominator, depth)
     D = mf.denominator << depth
     return Fraction(a, D), Fraction(b, D), side
-
-
-def gap_probe(src: MassSource, m, max_depth: int, target: Optional[Fraction] = None) -> GapProbe:
-    """Probe successively deeper prefixes for a proven separation.
-
-    Stops as soon as the certified gap reaches `target` (when given) or the
-    depth budget runs out.  An Unresolved result at depth d means the two
-    values agree on d digits, i.e. |m - mu| < 2**-d; in particular m == mu
-    can never be resolved, matching the physics where equal masses produce
-    no flag crossing, ever.
-    """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if target is not None and target <= 0:
-        raise ValueError("target gap must be positive")
-    best: Optional[GapProbe] = None
-    side = 0
-
-    def settle(d: int) -> Optional[GapProbe]:
-        nonlocal best, side
-        a, _, side = distance_bracket(src, m, d)
-        if side != 0 and a > 0:
-            best = GapProbe(True, a, d, side)
-            if target is None or a >= target:
-                return best
-        return None
-
-    start = 8 if target is None else max(8, bits_above(1 / target))
-    refine(start, max_depth, settle)
-    if best is not None:
-        return best
-    # The boundary corner (m equal to the exclusive upper prefix endpoint)
-    # separates only with one more digit, so report one level shallower to
-    # keep the Unresolved bound |m - mu| < 2**-d literally true.  `side`
-    # is from the last read, which was at max_depth.
-    d = max_depth if side == 0 else max_depth - 1
-    return GapProbe(False, None, max(d, 1), 0)
 
 
 def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
@@ -408,7 +345,7 @@ def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
             state["k"] = i + 1
         return cache[k]
 
-    return RunLengths.from_function(u_func, descriptor=f"adversarial:{descriptor}")
+    return RunLengths(u_func, descriptor=f"adversarial:{descriptor}")
 
 
 def adversarial_mass(budget_fn: Callable[[int], Fraction], K,
@@ -543,6 +480,8 @@ def load_mass_file(path: str, schedule_budget=None, K=None):
             return _mass_from_tokens(kind, tokens, schedule_budget, K)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
     raise ValueError(f"{path}: no mass specification found")
 
 

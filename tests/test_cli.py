@@ -256,6 +256,40 @@ class TestConfigFile:
         assert main(run + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
         assert read(tmp_path / "b" / "report.json") == report
 
+    @pytest.mark.parametrize("key, choices", [
+        ("mode", "arbitrary, error-free, errorfree, fixed"),
+        ("wait_policy", "full, full-budget, interrupt"),
+        ("timeout_reaction", "abort, return"),
+    ])
+    def test_unknown_choice_names_value_and_choices(self, key, choices, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "bogus"}), encoding="utf-8")
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and choices in err
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_is_config_error(self, seed, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+
+    def test_seed_order_is_flag_file_environment(self, tmp_path, capsys, monkeypatch):
+        run = ["measure", "--mass", "rational:1/3", "--procedure", "grid",
+               "--level", "2", "--wait", "full"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 6}), encoding="utf-8")
+        monkeypatch.setenv("CME_SEED", "5")
+        for n, extra in enumerate([[], ["--config", str(cfg)],
+                                   ["--config", str(cfg), "--seed", "7"]]):
+            assert main(run + extra + ["--out", str(tmp_path / str(n))]) == EXIT_OK
+            report = json.loads(read(tmp_path / str(n) / "report.json"))
+            assert report["config"]["seed"] == 5 + n
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")

@@ -5,12 +5,10 @@ from fractions import Fraction
 import pytest
 
 from collidersim.collision import (Outcome, accuracy_time_floor,
-                                   classify_outcome, classify_source_outcome,
-                                   experiment_time, kinetic_energy, momentum,
+                                   classify_outcome, experiment_time,
+                                   kinetic_energy, momentum,
                                    post_collision_velocities, time_bounds,
                                    time_gap_product, uncertainty_product)
-from collidersim.sources import from_dyadic, from_rational
-from collidersim.dyadic import Dyadic
 
 
 def random_fraction(rnd, max_den=1000, positive=False):
@@ -124,17 +122,6 @@ class TestClassification:
         assert classify_outcome(Fraction(1, 4), Fraction(1, 3)) is Outcome.LESSER
         assert classify_outcome(Fraction(1, 2), Fraction(1, 3)) is Outcome.GREATER
         assert classify_outcome(Fraction(1, 3), Fraction(1, 3)) is Outcome.NO_RESULT
-
-    def test_against_digit_stream(self):
-        src = from_rational(1, 3)
-        assert classify_source_outcome(Fraction(1, 4), src, 64) is Outcome.LESSER
-        assert classify_source_outcome(Fraction(1, 2), src, 64) is Outcome.GREATER
-        assert classify_source_outcome(Fraction(1, 3), src, 64) is Outcome.NO_RESULT
-
-    def test_shallow_probe_cannot_separate(self):
-        src = from_dyadic(Dyadic(1, 1))
-        close = Fraction(1, 2) + Fraction(1, 1 << 40)
-        assert classify_source_outcome(close, src, 16) is Outcome.NO_RESULT
 
 
 class TestUncertaintyProduct:

@@ -113,21 +113,43 @@ class TestProbedQueries:
         rec = oracle.query("01", 10)
         assert rec.probe_depth is not None and rec.probe_depth >= 8
 
-    def test_probe_cap_forces_timeout(self):
+    @pytest.mark.parametrize("timing", ["protocol", "kinematic"])
+    @pytest.mark.parametrize("cap", [8, 64, 512, 4096])
+    def test_probe_cap_forces_timeout(self, cap, timing):
         # digits of exactly 1/2, but presented without an exact value:
-        # no finite prefix separates it from z = 1/2
+        # no finite prefix separates it from z = 1/2, so equal masses
+        # never answer, whatever the cap
         half = custom(lambda n: 1 if n == 1 else 0)
-        cfg = OracleConfig(probe_depth_cap=64)
-        oracle = CollisionOracle(half, cfg)
-        # 64 digits pin the distance below 2**-63, which certifies an
-        # ordinary timeout against moderate budgets; an astronomically
-        # large budget leaves both certificates open and hits the cap
-        rec = oracle.query("01", Fraction(2) ** 80)
+        oracle = CollisionOracle(half, OracleConfig(probe_depth_cap=cap, timing=timing))
+        # a budget far past 2**cap leaves both certificates open at the cap
+        rec = oracle.query("01", Fraction(2) ** (cap + 20))
         assert rec.outcome is Outcome.TIMEOUT
-        assert rec.probe_depth == 64
+        assert rec.probe_depth == cap
+        # a moderate budget certifies an ordinary timeout from a short prefix
         modest = oracle.query("01", 10 ** 6)
         assert modest.outcome is Outcome.TIMEOUT
         assert modest.probe_depth < 64
+
+    @pytest.mark.parametrize("timing, extra", [("protocol", 0), ("kinematic", 1)],
+                             ids=["protocol", "kinematic"])
+    def test_exclusive_endpoint_corner(self, timing, extra):
+        # z = 1/2 + 2**-64 is the exclusive upper end of the 64-digit cell
+        # of 1/2, so it separates from the stream only at digit 65
+        word = "01" + "0" * 62 + "1"
+        budget = Fraction(2) ** 80
+
+        def query(cap):
+            half = custom(lambda n: 1 if n == 1 else 0)
+            cfg = OracleConfig(probe_depth_cap=cap, timing=timing)
+            return CollisionOracle(half, cfg).query(word, budget)
+
+        rec = query(64)
+        assert rec.outcome is Outcome.TIMEOUT
+        assert rec.probe_depth == 64
+        rec = query(65)
+        assert rec.outcome is Outcome.GREATER
+        assert rec.probe_depth == 65
+        assert rec.elapsed == 2 ** 64 + extra
 
     def test_kinematic_probed_agrees_with_exact(self):
         cfg = OracleConfig(timing="kinematic")

@@ -41,9 +41,6 @@ class TestSchedules:
         assert schedule_constant(96)(7) == 96
         T = schedule_tabular([4, 8, 32])
         assert [T(n) for n in (1, 2, 3, 4, 5)] == [4, 8, 32, 32, 32]
-        strict = schedule_tabular([4, 8], extend_last=False)
-        with pytest.raises(ValueError):
-            strict(3)
 
     def test_domain_validation(self):
         T = schedule_exponential(1, 0)
@@ -52,10 +49,6 @@ class TestSchedules:
         bad = Schedule(lambda n: Fraction(0), "zero")
         with pytest.raises(ValueError):
             bad(1)
-
-    def test_scaled(self):
-        T = schedule_exponential(1, 0).scaled(5)
-        assert T(3) == 40
 
     def test_builtin_registry(self):
         reg = builtin_schedules(2)

@@ -6,11 +6,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from collidersim.dyadic import Dyadic
-from collidersim.sources import (GapProbe, MassSource, RunLengths,
-                                 adversarial_mass, affine_of_source, custom,
+from collidersim.sources import (RunLengths, adversarial_mass,
+                                 affine_of_source, custom,
                                  diagonal_run_lengths, distance_bracket,
                                  from_dyadic, from_rational, from_run_lengths,
-                                 gap_probe, load_mass_file, parse_fraction,
+                                 load_mass_file, parse_fraction,
                                  parse_mass_spec, refine, run_length_blocks)
 
 
@@ -161,7 +161,7 @@ class TestRunLengths:
 
     def test_huge_run_is_clamped_to_the_request(self):
         # without the clamp the second block alone would be 2**40 bits
-        runs = RunLengths.from_function(lambda k: 3 if k == 1 else 1 << 40)
+        runs = RunLengths(lambda k: 3 if k == 1 else 1 << 40)
         src = from_run_lengths(runs)
         assert src.interval(64)[0] == Fraction(7, 8)
         assert src._prefix.bit_length() <= 64
@@ -188,39 +188,6 @@ class TestDistanceBrackets:
             assert a <= true_gap <= b
             if side:
                 assert side == (1 if m > src.exact_value else -1)
-
-    def test_gap_probe_proves_separation(self):
-        probe = gap_probe(from_rational(1, 3), Fraction(3, 8), 64)
-        assert probe.proven
-        assert probe.side == 1
-        assert 0 < probe.gap <= Fraction(3, 8) - Fraction(1, 3)
-
-    def test_gap_probe_equal_masses_unresolved(self):
-        probe = gap_probe(from_rational(1, 3), Fraction(1, 3), 64)
-        assert not probe.proven
-        assert probe.depth <= 64
-
-    def test_unresolved_bound_is_literal(self):
-        # m one tick above a dyadic target, beyond the probe horizon
-        src = from_dyadic(Dyadic(1, 1))
-        m = Fraction(1, 2) + Fraction(1, 1 << 100)
-        probe = gap_probe(src, m, 64)
-        assert not probe.proven
-        assert abs(m - Fraction(1, 2)) < Fraction(1, 1 << probe.depth)
-
-    def test_exclusive_endpoint_corner(self):
-        src = from_dyadic(Dyadic(1, 1))
-        m = Fraction(1, 2) + Fraction(1, 1 << 64)
-        probe = gap_probe(src, m, 64)
-        assert not probe.proven
-        assert abs(m - Fraction(1, 2)) < Fraction(1, 1 << probe.depth)
-
-    def test_target_stops_early(self):
-        probe = gap_probe(from_rational(1, 3), Fraction(1, 2), 4096,
-                          target=Fraction(1, 64))
-        assert probe.proven
-        assert probe.gap >= Fraction(1, 64)
-        assert probe.depth <= 64
 
     def test_refine_doubles_then_clamps_to_the_cap(self):
         seen = []
@@ -343,6 +310,15 @@ class TestParsing:
         path.write_text("kind=rational p=2 q=7 bogus=1\n")
         with pytest.raises(ValueError):
             load_mass_file(str(path))
+
+    @pytest.mark.parametrize("line, key", [("kind=rational q=3", "p"),
+                                           ("kind=pattern", "u")])
+    def test_mass_file_names_a_missing_key(self, line, key, tmp_path):
+        path = tmp_path / "mass.txt"
+        path.write_text(f"# hidden target\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_mass_file(str(path))
+        assert str(exc.value) == f"{path}:2: missing key {key!r}"
 
     def test_file_kind_round_trip(self, tmp_path):
         path = tmp_path / "mass.txt"

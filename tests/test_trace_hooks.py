@@ -7,6 +7,7 @@ that drops or bypasses one of those names would otherwise fail only
 inside a benchmark run; here it fails in the unit suite.
 """
 
+import ast
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -57,3 +58,27 @@ def test_tracer_installs_records_and_restores(tmp_path, capsys):
                          sources.MassSource.interval, procedures.grid_sweep,
                          cli.main)
     assert dyadic.validate_word is oracle.validate_word
+
+
+def test_every_package_attribute_the_benchmark_reads_exists():
+    # attributes are looked up when a workload runs, not when it loads,
+    # so walk the source for each `<collidersim module>.<attr>` read
+    found = set()
+    for name in ("workloads", "run"):
+        tree = ast.parse((PERFBENCH / f"{name}.py").read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name, a.name) for a in node.names
+                               if a.name == "collidersim")
+            elif isinstance(node, ast.ImportFrom) and node.module == "collidersim":
+                modules.update((a.asname or a.name, f"collidersim.{a.name}")
+                               for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                found.add((modules[node.value.id], node.attr))
+    for module, attr in sorted(found):
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    assert {("collidersim.kernels", "thresholds"), ("collidersim.kernels", "engines"),
+            ("collidersim.kernels", "engine_name"), ("collidersim.rng", "derive_seed")} <= found
