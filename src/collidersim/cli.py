@@ -17,6 +17,7 @@ Exit codes: 0 on a complete result, 2 on configuration or usage errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -80,6 +81,12 @@ def _resolve_config(args) -> OracleConfig:
         return default
 
     seed = pick(getattr(args, "seed", None), "seed", os.environ.get(SEED_ENV, "0"))
+    try:
+        seed = int(seed)
+    except ValueError:
+        where = (f"{args.config}: seed" if file_cfg.get("seed") is not None
+                 else f"${SEED_ENV}")
+        raise ValueError(f"{where} must be an integer, got {seed!r}") from None
     eps_text = pick(getattr(args, "epsilon", None), "epsilon", None)
     return OracleConfig(
         K=parse_fraction(pick(args.K, "K", "1")),
@@ -93,7 +100,7 @@ def _resolve_config(args) -> OracleConfig:
         timing=pick(getattr(args, "timing", None), "timing", "protocol"),
         launch_speed=parse_fraction(pick(None, "u", "1")),
         flag_distance=parse_fraction(pick(None, "r", "1")),
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -213,9 +220,10 @@ def cmd_advice(args) -> int:
         }
     parameters = {"command": "advice", "table": args.table,
                   "digits": args.digits, "word_length": args.word_length}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write_outputs(args.out, {"advice.json": payload}, parameters)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_outputs(args.out, {"advice.json": text}, parameters)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -243,6 +251,7 @@ def _add_oracle_args(sp, mode: str, wait: str) -> None:
     sp.add_argument("--out", help="directory for JSON results and transcript")
 
 
+@functools.cache    # parsing keeps no state; $CME_SEED and --config are read per run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collidersim",

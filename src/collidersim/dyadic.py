@@ -66,9 +66,12 @@ class Dyadic:
 
 
 def to_fraction(value) -> Fraction:
-    """Any exact rational (int, Fraction, decimal text) as a Fraction."""
+    """Any exact rational (int, Fraction, decimal text) as a Fraction; never a float."""
     if type(value) is Fraction:
         return value
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; give an exact rational "
+                        "(int, Fraction or text such as '1/10')")
     return Fraction(value)
 
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from collidersim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, main
+from collidersim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, build_parser, main
 
 
 def read(path):
@@ -277,6 +277,19 @@ class TestConfigFile:
         code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
                      "--schedule", "exp:k=2", "--config", str(cfg)])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: seed must be an integer, got '{seed}'\n"
+
+    def test_non_integer_seed_in_environment_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CME_SEED", "abc")
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: $CME_SEED must be an integer, got 'abc'\n"
+        # a seed from the flag or the file wins, so the variable is not read
+        assert main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2", "--seed", "3"]) == EXIT_OK
 
     def test_seed_order_is_flag_file_environment(self, tmp_path, capsys, monkeypatch):
         run = ["measure", "--mass", "rational:1/3", "--procedure", "grid",
@@ -317,3 +330,62 @@ class TestParser:
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; no run may depend on the
+    runs before it."""
+
+    RUNS = [
+        ({}, ["measure", "--mass", "pattern:3,2,4", "--digits", "12",
+              "--schedule", "exp:k=6"]),
+        ({}, ["advice", "--table", "TABLE", "--digits", "40", "--word-length", "2"]),
+        ({}, ["estimate", "--mass", "rational:1/7", "--k", "1", "--epsilon", "1/64"]),
+        ({"CME_SEED": "9"}, ["measure", "--mass", "pattern:3,2,4", "--digits", "12",
+                             "--schedule", "exp:k=6", "--mode", "arbitrary",
+                             "--config", "CONFIG"]),
+    ]
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys, monkeypatch):
+        table, cfg = tmp_path / "table.tsv", tmp_path / "cfg.json"
+        table.write_text("# alphabet=binary\n0\t\n1\t1\n", encoding="utf-8")
+        cfg.write_text(json.dumps({"K": "3/2", "N": "1/16"}), encoding="utf-8")
+        names = {"TABLE": str(table), "CONFIG": str(cfg)}
+
+        def run(n: int, out: str):
+            env, argv = self.RUNS[n]
+            monkeypatch.delenv("CME_SEED", raising=False)
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            outdir = tmp_path / out
+            code = main([names.get(a, a) for a in argv] + ["--out", str(outdir)])
+            files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            return code, capsys.readouterr().out, files
+        return run
+
+    def test_runs_match_a_fresh_parser(self, run):
+        build_parser.cache_clear()
+        shared = [run(n, f"shared{n}") for n in range(len(self.RUNS))]
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in shared] == [EXIT_OK] * 4
+        # the last run read $CME_SEED and the config file at call time
+        config = json.loads(shared[3][2]["report.json"])["config"]
+        assert (config["seed"], config["K"], config["N"]) == (9, "3/2", "1/16")
+        assert shared[3][2]["transcript.jsonl"] != shared[0][2]["transcript.jsonl"]
+        for n in range(len(self.RUNS)):
+            build_parser.cache_clear()
+            assert run(n, f"fresh{n}") == shared[n]
+
+    def test_usage_error_leaves_the_parser_usable(self, run, capsys):
+        first = run(0, "before")
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--digits", "many"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid int value" in capsys.readouterr().err
+        assert run(0, "after") == first
+
+    def test_advice_prints_the_bytes_of_its_file(self, run):
+        code, out, files = run(1, "advice")
+        assert code == EXIT_OK
+        assert out.encode("utf-8") == files["advice.json"]

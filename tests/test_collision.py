@@ -28,6 +28,12 @@ class TestVelocities:
             assert momentum(m, vm) + momentum(mu, vmu) == momentum(m, u)
             assert kinetic_energy(m, vm) + kinetic_energy(mu, vmu) == kinetic_energy(m, u)
 
+    @pytest.mark.parametrize("args", [(0.5, Fraction(1, 2)), (Fraction(1, 2), 0.25),
+                                      (Fraction(1, 2), Fraction(1, 4), 1.0)])
+    def test_float_arguments_are_refused(self, args):
+        with pytest.raises(TypeError, match="is a float"):
+            post_collision_velocities(*args)
+
     def test_equal_masses_swap(self):
         vm, vmu = post_collision_velocities(Fraction(2, 7), Fraction(2, 7), Fraction(3))
         assert vm == 0

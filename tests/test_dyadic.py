@@ -137,3 +137,11 @@ class TestNumericHelpers:
         assert fraction_text(Fraction(4, 2)) == "2"
         assert fraction_text(Fraction(1, 8)) == "1/8"
         assert fraction_text(0) == "0"
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, float("inf")])
+    def test_to_fraction_refuses_floats(self, value):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            to_fraction(value)
+        with pytest.raises(TypeError):
+            fraction_text(value)

@@ -38,6 +38,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             OracleConfig(probe_depth_cap=4)
 
+    @pytest.mark.parametrize("field", ["K", "N", "c_setup", "epsilon",
+                                       "launch_speed", "flag_distance"])
+    def test_float_parameters_are_refused(self, field):
+        # a float 0.1 is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match="0.1"):
+            OracleConfig(**{field: 0.1})
+
     def test_timeout_window(self):
         cfg = OracleConfig(K=Fraction(2), N=Fraction(1, 2))
         assert timeout_window(cfg, 10) == Fraction(2) / Fraction(19, 2)

@@ -70,6 +70,15 @@ class TestSchedules:
         R = sufficient_for_rational(1, 3)
         assert R(2) == 3 * 4
 
+    def test_float_budgets_are_refused(self):
+        # a float budget would become its binary expansion, not the value meant
+        with pytest.raises(TypeError, match="0.1"):
+            Schedule(lambda n: 0.1, "floaty")(3)
+        with pytest.raises(TypeError):
+            schedule_exponential(0.5)
+        with pytest.raises(TypeError):
+            schedule_constant(96.0)
+
 
 class TestBisection:
     def test_recovers_binary_digits(self):
