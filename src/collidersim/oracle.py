@@ -26,8 +26,9 @@ makes this provable from a finite prefix of a non-dyadic target.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from . import rng
@@ -165,7 +166,10 @@ class QueryRecord(_Worded):
     setup: Fraction
     epsilon: Optional[Fraction] = None
     probe_depth: Optional[int] = None
-    hidden: dict = field(default_factory=dict, repr=False)
+    # not a field: one shared read-only empty mapping, so a record that
+    # hides nothing builds no dict; under record_hidden the oracle gives
+    # each record its own dict of m_star and jitter
+    hidden = MappingProxyType({})
 
     @property
     def total_time(self) -> Fraction:
@@ -301,8 +305,7 @@ class CollisionOracle:
             setup=self._setup_cost(len(word)), epsilon=epsilon, probe_depth=depth,
         )
         if cfg.record_hidden:
-            record.hidden["m_star"] = Fraction(*m_star)
-            record.hidden["jitter"] = jitter
+            record.hidden = {"m_star": Fraction(*m_star), "jitter": jitter}
         self.transcript.append(record)
         if outcome is Outcome.TIMEOUT and cfg.timeout_reaction is TimeoutReaction.ABORT:
             raise TimeoutExceeded(record)
@@ -324,33 +327,40 @@ class CollisionOracle:
         first <= p < end of grid points inside them.  The words from
         first - 1 to end go through `query`, so the division results need
         only be right to within one word; the rest, a grid step or more
-        clear of the window, get the records `query` would append.
+        clear of the window, get the records `query` would append, written
+        in two runs: lesser below the window, greater above it.
         """
         n, cfg = 1 << r, self.config
-        fired, first = range(n + 1), 0
+        a, b = 0, n + 1
         if (self.source.exact_value is not None and cfg.N == 0
                 and cfg.mode is PrecisionMode.ERROR_FREE
                 and cfg.wait_policy is WaitPolicy.FULL_BUDGET):
             (an, ad), hi = self.cutoffs(budget)
             first = min(max(-((-an << r) // ad), 0), n + 1)
             end = n + 1 if hi is None else min(max((hi[0] << r) // hi[1] + 1, 0), n + 1)
-            fired = range(max(first - 1, 0), min(end, n) + 1)
-        start, fmt, setup = len(self.transcript), f"0{r}b", self._setup_cost(r + 1)
-        for p in range(n + 1):
-            word = "0" + format(p, fmt) if p < n else "1"
-            if p in fired:
-                try:
-                    self.query(word, budget)
-                except TimeoutExceeded:
-                    pass
-            else:
-                record = QueryRecord(len(self.transcript), word, budget,
-                                     Outcome.LESSER if p < first else Outcome.GREATER,
-                                     budget, setup if p < n else self._setup_cost(1))
-                if cfg.record_hidden:
-                    record.hidden.update(m_star=Fraction(p, n), jitter=_ZERO)
-                self.transcript.append(record)
-        return self.transcript[start:]
+            a, b = max(first - 1, 0), min(end, n) + 1
+        words = ["0"]
+        for _ in range(r):
+            words = [w + c for w in words for c in "01"]
+        words.append("1")
+        transcript, setup = self.transcript, self._setup_cost(r + 1)
+        start, lesser, greater = len(transcript), Outcome.LESSER, Outcome.GREATER
+        transcript.extend([QueryRecord(i, word, budget, lesser, budget, setup)
+                           for i, word in enumerate(words[:a], start)])
+        for word in words[a:b]:
+            try:
+                self.query(word, budget)
+            except TimeoutExceeded:
+                pass
+        above = [QueryRecord(i, word, budget, greater, budget, setup)
+                 for i, word in enumerate(words[b:], start + b)]
+        if above:    # the word "1" bills one digit of setup
+            above[-1].setup = self._setup_cost(1)
+        transcript.extend(above)
+        if cfg.record_hidden:
+            for p in [*range(a), *range(b, n + 1)]:
+                transcript[start + p].hidden = {"m_star": Fraction(p, n), "jitter": _ZERO}
+        return transcript[start:]
 
     def _resolve(self, word: str, budget, epsilon):
         """Checked (z, budget, epsilon) of a query, shared by both query kinds.

@@ -259,22 +259,20 @@ def grid_sweep(oracle: CollisionOracle, r: int) -> MeasurementReport:
         raise ValueError("r must be >= 1")
     cfg = oracle.config
     if cfg.mode is not PrecisionMode.ERROR_FREE:
-        raise ConfigError("the grid sweep assumes exactly manufactured masses")
+        raise ConfigError("the grid sweep assumes exactly manufactured masses; "
+                          "use --mode errorfree (PrecisionMode.ERROR_FREE)")
     if cfg.wait_policy is not WaitPolicy.FULL_BUDGET:
         raise ConfigError("the grid sweep waits out every budget (rendezvous "
-                          "accounting); use WaitPolicy.FULL_BUDGET")
+                          "accounting); use --wait full (WaitPolicy.FULL_BUDGET)")
     budget = cfg.K * (1 << (2 * r + 1))
     n_points = (1 << r) + 1
-    timeouts = []
-    lesser_max = None
-    greater_min = None
-    for p, rec in enumerate(oracle.fire_grid(r, budget)):
-        if rec.outcome is Outcome.TIMEOUT:
-            timeouts.append(p)
-        elif rec.outcome is Outcome.LESSER:
-            lesser_max = p
-        elif greater_min is None:
-            greater_min = p
+    # a grid query answers lesser, greater or timeout, never no-result; the
+    # members are read once, as each read through the Enum class is slow
+    lesser, greater, timeout = Outcome.LESSER, Outcome.GREATER, Outcome.TIMEOUT
+    outcomes = [rec.outcome for rec in oracle.fire_grid(r, budget)]
+    timeouts = [p for p, outcome in enumerate(outcomes) if outcome is timeout]
+    lesser_max = n_points - 1 - outcomes[::-1].index(lesser) if lesser in outcomes else None
+    greater_min = outcomes.index(greater) if greater in outcomes else None
     ok = (not timeouts and lesser_max is not None and greater_min is not None
           and greater_min == lesser_max + 1)
     digits = format(lesser_max, f"0{r}b") if ok else ""

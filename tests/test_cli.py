@@ -36,6 +36,16 @@ class TestMeasure:
         assert "digits: 01" in out
         assert "waiting time: 160" in out
 
+    @pytest.mark.parametrize("flags, named", [
+        ([], "--wait full"),
+        (["--wait", "full", "--mode", "arbitrary"], "--mode errorfree"),
+    ], ids=["interrupt", "arbitrary"])
+    def test_grid_config_error_names_the_flag(self, flags, named, capsys):
+        code = main(["measure", "--mass", "rational:1/3", "--procedure", "grid",
+                     "--level", "3", *flags])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
     def test_bisection_requires_schedule(self, capsys):
         code = main(["measure", "--mass", "rational:1/3", "--digits", "4"])
         assert code == EXIT_CONFIG

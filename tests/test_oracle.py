@@ -240,13 +240,17 @@ class TestRecordValues:
     def test_every_record_of_an_exact_sweep(self):
         cfg = OracleConfig(wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=True)
         oracle = CollisionOracle(from_rational(1, 3), cfg)
+        earlier = [oracle.query("01", 10), oracle.query("1", 10)]
         queried = []
         oracle.query = lambda word, budget: queried.append(word) or \
             CollisionOracle.query(oracle, word, budget)
         recs = oracle.fire_grid(3, Fraction(128))
         # 1/3 lies between 2/8 and 3/8; only those two words are queried,
-        # and fire_grid writes the other seven records itself
+        # and fire_grid writes the other seven records itself, numbered on
+        # from the records before the sweep
         assert queried == ["0010", "0011"]
+        assert oracle.transcript == earlier + recs
+        assert [rec.index for rec in oracle.transcript] == list(range(11))
         assert [rec.word for rec in recs] == \
             ["0" + format(p, "03b") for p in range(8)] + ["1"]
         for p, rec in enumerate(recs):
@@ -254,6 +258,63 @@ class TestRecordValues:
             assert (rec.z, rec.z_length, rec.mass_interval) == \
                 (z, 4 if p < 8 else 1, (z, z))
             assert rec.hidden["m_star"] == z
+
+    @settings(max_examples=60, deadline=None)
+    @given(before=st.lists(st.sampled_from(["0", "01", "0011", "1"]), max_size=3),
+           r=st.integers(1, 5), p=st.integers(0, 32),
+           place=st.sampled_from(["lo", "hi", "grid"]),
+           ulps=st.sampled_from([-1, 0, 1]), hidden=st.booleans(), abort=st.booleans())
+    # the word "1" (p = 2**r) sits on the timeout window's edge, then inside it
+    @example(before=["01"], r=3, p=8, place="hi", ulps=0, hidden=True, abort=False)
+    @example(before=["01", "1"], r=2, p=4, place="grid", ulps=0, hidden=True, abort=True)
+    def test_sweep_writes_the_records_query_would(self, before, r, p, place, ulps,
+                                                  hidden, abort):
+        """After earlier records, a sweep appends 2**r + 1 records with
+        consecutive indices, equal to those of firing each word through
+        `query`, with the same hidden values."""
+        budget = Fraction(1 << (2 * r + 1))
+        g, window = Fraction(p % ((1 << r) + 1), 1 << r), 1 / budget
+        mu = g + {"lo": window, "hi": -window, "grid": 0}[place] + Fraction(ulps, 1 << 64)
+        assume(0 <= mu <= 1)
+        cfg = OracleConfig(wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=hidden,
+                           timeout_reaction=TimeoutReaction.ABORT if abort
+                           else TimeoutReaction.RETURN)
+        oracles = [CollisionOracle(from_rational(mu.numerator, mu.denominator), cfg)
+                   for _ in range(2)]
+        for oracle in oracles:
+            for word in before:
+                try:
+                    oracle.query(word, 10)
+                except TimeoutExceeded:
+                    pass
+        swept, queried = oracles
+        recs = swept.fire_grid(r, budget)
+        for q in range(len(recs)):
+            try:
+                queried.query("0" + format(q, f"0{r}b") if q < 1 << r else "1", budget)
+            except TimeoutExceeded:
+                pass
+        assert [rec.index for rec in recs] == \
+            list(range(len(before), len(before) + (1 << r) + 1))
+        assert [(rec, rec.hidden) for rec in swept.transcript] == \
+            [(rec, rec.hidden) for rec in queried.transcript]
+
+    def test_hidden_values(self):
+        """A record that hides nothing reads {} from one read-only mapping;
+        under record_hidden each record, queried or written in bulk, has a
+        dict of its own."""
+        rec = CollisionOracle(from_rational(1, 3)).query("01", 10)
+        assert rec.hidden == {}
+        with pytest.raises(TypeError):
+            rec.hidden["x"] = 1
+        cfg = OracleConfig(wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=True)
+        oracle = CollisionOracle(from_rational(1, 3), cfg)
+        oracle.query("01", 10)
+        # 2/8 and 3/8 are queried; 0 and 1/8 are written lesser, the rest greater
+        oracle.fire_grid(3, Fraction(128))
+        hidden = [rec.hidden for rec in oracle.transcript]
+        assert all(type(h) is dict and set(h) == {"m_star", "jitter"} for h in hidden)
+        assert len({id(h) for h in hidden}) == len(hidden) == 10
 
 
 class TestQueryArgumentChecks:
