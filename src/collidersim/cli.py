@@ -28,7 +28,7 @@ from .advice import PrefixFunction, decode_advice, encoded_mass, read_bound
 from .dyadic import fraction_text
 from .harness import embed_parameter, estimate_digits
 from .oracle import (CollisionOracle, ConfigError, OracleConfig, PrecisionMode,
-                     TimeoutReaction, WaitPolicy)
+                     QueryRecord, TimeoutReaction, WaitPolicy)
 from .procedures import bisection, grid_sweep, parse_schedule
 from .sources import parse_fraction, parse_mass_spec
 
@@ -138,7 +138,9 @@ def _write_outputs(outdir: str, files: dict, parameters: dict) -> None:
 
 
 def _transcript_jsonl(oracle: CollisionOracle) -> str:
-    return "".join(_JSONL.encode(rec.to_dict()) + "\n" for rec in oracle.transcript)
+    # a query record writes its own line; a batch record goes through the encoder
+    return "".join((rec.json_line() if type(rec) is QueryRecord
+                    else _JSONL.encode(rec.to_dict())) + "\n" for rec in oracle.transcript)
 
 
 def cmd_measure(args) -> int:

@@ -77,8 +77,9 @@ def to_fraction(value) -> Fraction:
 
 def fraction_text(value) -> str:
     """Text of an exact rational in result files: "p/q", or "p" for an integer."""
-    f = to_fraction(value)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+    f = value if type(value) is Fraction else to_fraction(value)
+    d = f.denominator
+    return f"{f.numerator}/{d}" if d != 1 else str(f.numerator)
 
 
 def bits_above(x) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Optional
 
@@ -41,6 +42,9 @@ from .sources import MassSource, distance_bracket, prefix_bracket, refine
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# members read on the per-query path, where a read through the Enum class
+# costs about ten times a read of a module name
+_LESSER, _GREATER, _TIMEOUT = Outcome.LESSER, Outcome.GREATER, Outcome.TIMEOUT
 
 
 class PrecisionMode(enum.Enum):
@@ -66,6 +70,11 @@ class TimeoutReaction(enum.Enum):
 
     def __str__(self):
         return self.value
+
+
+_ERROR_FREE, _ARBITRARY, _FIXED = (PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY,
+                                   PrecisionMode.FIXED)
+_FULL_BUDGET = WaitPolicy.FULL_BUDGET
 
 
 class ConfigError(ValueError):
@@ -198,6 +207,17 @@ class QueryRecord(_Worded):
             d["epsilon"] = fraction_text(self.epsilon)
         return d
 
+    def json_line(self) -> str:
+        """`to_dict` as a sort_keys JSONEncoder writes it, from text: no value
+        needs escaping.  An elapsed that is the budget reuses its text."""
+        budget = fraction_text(self.budget)
+        elapsed = budget if self.elapsed is self.budget else fraction_text(self.elapsed)
+        eps = "" if self.epsilon is None else f'"epsilon": "{fraction_text(self.epsilon)}", '
+        return (f'{{"answer": "{self.outcome.value}", "budget": "{budget}", '
+                f'"elapsed": "{elapsed}", {eps}"index": {self.index}, '
+                f'"setup": "{fraction_text(self.setup)}", "z": "{self.word}", '
+                f'"z_length": {len(self.word)}}}')
+
 
 @dataclass
 class BatchRecord(_Worded):
@@ -245,9 +265,6 @@ class CollisionOracle:
         self.source = source
         self.config = config or OracleConfig()
         self.transcript: list = []
-        # c_setup * word length, kept for the last length billed only (a sweep
-        # repeats its length, a bisection never does); records share it
-        self._setup: dict = {}
 
     # -- draws ------------------------------------------------------------
 
@@ -255,15 +272,18 @@ class CollisionOracle:
                    trial: int = 0) -> tuple:
         """m* as an unreduced (n, d) pair, d > 0, for z = (zn, zd)."""
         cfg = self.config
-        if cfg.mode is PrecisionMode.ERROR_FREE:
+        if cfg.mode is _ERROR_FREE:
             return z
         if epsilon is None:
             raise ConfigError("this precision mode needs a tolerance")
         r = rng.raw64(cfg.seed, stream, 2 * trial)
-        # z - eps + 2 eps r / 2**64 over the common denominator zd ed 2**64
+        # z - eps + 2 eps r / 2**64 over lcm(zd, ed) 2**64; bisection's zd
+        # divides its ed, so the product zd ed would carry spare bits
         (zn, zd), en, ed = z, epsilon.numerator, epsilon.denominator
-        num = ((zn * ed - en * zd) << 64) + 2 * en * zd * r
-        den = zd * ed << 64
+        den = lcm(zd, ed)
+        en *= den // ed
+        num = ((zn * (den // zd) - en) << 64) + 2 * en * r
+        den <<= 64
         # clip at the domain boundary; only reachable when the tolerance
         # window leaves [0, 1], and boundary hits have probability zero
         if num < 0:
@@ -292,30 +312,22 @@ class CollisionOracle:
         index = len(self.transcript)
         m_star = self._draw_mass(z, epsilon, index)
         jitter = self._draw_jitter(index)
-        need_arrival = cfg.wait_policy is WaitPolicy.INTERRUPT
-        outcome, arrival, depth = self._decide(m_star, jitter, budget, need_arrival)
-
-        if cfg.wait_policy is WaitPolicy.FULL_BUDGET or outcome is Outcome.TIMEOUT:
-            elapsed = budget
-        else:
-            elapsed = arrival
-
-        record = QueryRecord(
-            index=index, word=word, budget=budget, outcome=outcome, elapsed=elapsed,
-            setup=self._setup_cost(len(word)), epsilon=epsilon, probe_depth=depth,
-        )
+        full = cfg.wait_policy is _FULL_BUDGET
+        outcome, arrival, depth = self._decide(m_star, jitter, budget, not full)
+        elapsed = budget if full or outcome is _TIMEOUT else arrival
+        record = QueryRecord(index, word, budget, outcome, elapsed,
+                             self._setup_cost(len(word)), epsilon, depth)
         if cfg.record_hidden:
             record.hidden = {"m_star": Fraction(*m_star), "jitter": jitter}
         self.transcript.append(record)
-        if outcome is Outcome.TIMEOUT and cfg.timeout_reaction is TimeoutReaction.ABORT:
+        if outcome is _TIMEOUT and cfg.timeout_reaction is TimeoutReaction.ABORT:
             raise TimeoutExceeded(record)
         return record
 
     def _setup_cost(self, length: int) -> Fraction:
-        setup = self._setup.get(length)
-        if setup is None:
-            self._setup = {length: (setup := self.config.c_setup * length)}
-        return setup
+        """c_setup * length, built with no gcd when c_setup is an integer."""
+        c = self.config.c_setup
+        return Fraction(c.numerator * length) if c.denominator == 1 else c * length
 
     def fire_grid(self, r: int, budget: Fraction) -> list:
         """Fire p/2**r for 0 <= p <= 2**r, in order, at one budget; return
@@ -333,8 +345,7 @@ class CollisionOracle:
         n, cfg = 1 << r, self.config
         a, b = 0, n + 1
         if (self.source.exact_value is not None and cfg.N == 0
-                and cfg.mode is PrecisionMode.ERROR_FREE
-                and cfg.wait_policy is WaitPolicy.FULL_BUDGET):
+                and cfg.mode is _ERROR_FREE and cfg.wait_policy is _FULL_BUDGET):
             (an, ad), hi = self.cutoffs(budget)
             first = min(max(-((-an << r) // ad), 0), n + 1)
             end = n + 1 if hi is None else min(max((hi[0] << r) // hi[1] + 1, 0), n + 1)
@@ -344,15 +355,15 @@ class CollisionOracle:
             words = [w + c for w in words for c in "01"]
         words.append("1")
         transcript, setup = self.transcript, self._setup_cost(r + 1)
-        start, lesser, greater = len(transcript), Outcome.LESSER, Outcome.GREATER
-        transcript.extend([QueryRecord(i, word, budget, lesser, budget, setup)
+        start = len(transcript)
+        transcript.extend([QueryRecord(i, word, budget, _LESSER, budget, setup)
                            for i, word in enumerate(words[:a], start)])
         for word in words[a:b]:
             try:
                 self.query(word, budget)
             except TimeoutExceeded:
                 pass
-        above = [QueryRecord(i, word, budget, greater, budget, setup)
+        above = [QueryRecord(i, word, budget, _GREATER, budget, setup)
                  for i, word in enumerate(words[b:], start + b)]
         if above:    # the word "1" bills one digit of setup
             above[-1].setup = self._setup_cost(1)
@@ -376,19 +387,20 @@ class CollisionOracle:
         budget = to_fraction(budget)
         if budget.numerator <= 0:
             raise ConfigError("budget must be positive")
-        if epsilon is None and cfg.mode is PrecisionMode.ERROR_FREE:
+        mode = cfg.mode
+        if epsilon is None and mode is _ERROR_FREE:
             return z, budget, None
-        if cfg.mode is PrecisionMode.FIXED:
+        if mode is _FIXED:
             if epsilon is not None and to_fraction(epsilon) != cfg.epsilon:
                 raise ConfigError("FIXED mode pins every query to the global epsilon")
             epsilon = cfg.epsilon
         elif epsilon is not None:
             epsilon = to_fraction(epsilon)
-            if epsilon <= 0:
+            if epsilon.numerator <= 0:
                 raise ConfigError("epsilon must be positive")
-        if cfg.mode is PrecisionMode.ARBITRARY and epsilon is None:
+        if mode is _ARBITRARY and epsilon is None:
             raise ConfigError("ARBITRARY mode needs a per-query epsilon")
-        if cfg.mode is PrecisionMode.ERROR_FREE:
+        if mode is _ERROR_FREE:
             return z, budget, None
         return z, budget, epsilon
 
@@ -407,7 +419,7 @@ class CollisionOracle:
         """
         deadline = budget - jitter if jitter else budget
         if deadline.numerator <= 0:
-            return Outcome.TIMEOUT, None, None
+            return _TIMEOUT, None, None
 
         exact = self.source.exact_value
         if exact is None:
@@ -417,11 +429,11 @@ class CollisionOracle:
         lo, hi = self.cutoffs(deadline)
         # only the cutoff on m*'s own side of mu can be crossed
         if diff < 0 and mn * lo[1] < lo[0] * md:
-            side = Outcome.LESSER
+            side = _LESSER
         elif diff > 0 and hi is not None and mn * hi[1] > hi[0] * md:
-            side = Outcome.GREATER
+            side = _GREATER
         else:
-            return Outcome.TIMEOUT, None, None
+            return _TIMEOUT, None, None
         if not need_arrival:
             return side, None, None
         # law / gap, with gap = |m* - mu| = |diff| / (md ud)
@@ -481,14 +493,14 @@ class CollisionOracle:
         def settle(depth: int):
             side, a, b, x_lo, x_hi = self._arrival_bounds(mn, md, depth)
             if a and cn * x_hi * td < tn * a * cd:
-                return Outcome.LESSER if side < 0 else Outcome.GREATER
+                return _LESSER if side < 0 else _GREATER
             if cn * x_lo * td >= tn * b * cd:
-                return Outcome.TIMEOUT
+                return _TIMEOUT
             return None
 
         outcome, depth = refine(start, self.config.probe_depth_cap, settle)
-        if outcome is None or outcome is Outcome.TIMEOUT:
-            return Outcome.TIMEOUT, None, depth
+        if outcome is None or outcome is _TIMEOUT:
+            return _TIMEOUT, None, depth
         arrival = self._reported_arrival(m_star, depth, jitter) if need_arrival else None
         return outcome, arrival, depth
 
@@ -528,7 +540,8 @@ class CollisionOracle:
         ticks, _ = refine(depth_hint, cap, settle)
         if ticks is None:
             raise RuntimeError("clock certification exceeded its digit horizon")
-        return Fraction(ticks, 1 << bits) + jitter
+        arrival = Fraction(ticks, 1 << bits)
+        return arrival + jitter if jitter else arrival
 
     # -- batched queries ------------------------------------------------------
 
@@ -566,9 +579,9 @@ class CollisionOracle:
                 m_star = self._draw_mass(z, epsilon, index, trial)
                 jitter = self._draw_jitter(index, trial)
                 outcome, _, _ = self._decide(m_star, jitter, budget, need_arrival=False)
-                if outcome is Outcome.LESSER:
+                if outcome is _LESSER:
                     n_less += 1
-                elif outcome is Outcome.GREATER:
+                elif outcome is _GREATER:
                     n_great += 1
             engine = "per-trial"
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .collision import Outcome
@@ -40,7 +41,7 @@ class Schedule:
         if n < 1:
             raise ValueError("schedules are defined for word lengths >= 1")
         value = to_fraction(self._fn(n))
-        if value <= 0:
+        if value.numerator <= 0:
             raise ValueError(f"schedule {self.descriptor} gave budget {value} at n={n}")
         return value
 
@@ -51,7 +52,8 @@ class Schedule:
 def schedule_exponential(K, shift: int = 0) -> Schedule:
     """T(n) = K * 2**(n + shift)."""
     Kf = to_fraction(K)
-    return Schedule(lambda n: Kf * (1 << (n + shift)),
+    kn, kd = Kf.numerator, Kf.denominator    # K 2**m built from K's integers
+    return Schedule(lambda n: Fraction(kn << n + shift, kd),
                     f"exponential:shift={shift}")
 
 
@@ -218,23 +220,27 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     digits = ""
     stage_elapsed = []
     timed_out_at = None
+    query, lesser, timeout = oracle.query, Outcome.LESSER, Outcome.TIMEOUT
     for stage in range(1, n_digits + 1):
         word = "0" + digits + "1"
         budget = schedule(len(word))
         eps = stage_tolerance(stage) if stage_tolerance is not None else None
         try:
-            rec = oracle.query(word, budget, epsilon=eps)
+            rec = query(word, budget, eps)
         except TimeoutExceeded as exc:
             rec = exc.record
         stage_elapsed.append(rec.elapsed)
-        if rec.outcome is Outcome.TIMEOUT:
+        if rec.outcome is timeout:
             timed_out_at = stage
             break
-        digits += "1" if rec.outcome is Outcome.LESSER else "0"
+        digits += "1" if rec.outcome is lesser else "0"
     fired = len(stage_elapsed)   # stage i fires a word of i + 1 digits
+    # the waiting time as one sum of numerators over the lcm of the denominators
+    den = lcm(*[t.denominator for t in stage_elapsed])
+    waited = sum(t.numerator * (den // t.denominator) for t in stage_elapsed)
     return MeasurementReport(
         procedure="bisection", digits=digits, requested=n_digits,
-        timed_out_at=timed_out_at, total_time=sum(stage_elapsed, Fraction(0)),
+        timed_out_at=timed_out_at, total_time=Fraction(waited, den),
         total_setup=cfg.c_setup * (fired * (fired + 3) // 2),
         stage_elapsed=stage_elapsed,
         details={"schedule": schedule.descriptor},

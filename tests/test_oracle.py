@@ -832,3 +832,111 @@ class TestTranscripts:
         oracle.query("01", 10)
         oracle.query("001", 20)
         assert oracle.total_elapsed == (6 + 2) + (12 + 3)
+
+
+class TestJsonLine:
+    """A query record writes its transcript line from text, byte for byte
+    the line a sort_keys JSONEncoder writes for its to_dict."""
+
+    ENCODER = json.JSONEncoder(sort_keys=True)
+
+    def assert_lines(self, records):
+        for rec in records:
+            assert rec.json_line() == self.ENCODER.encode(rec.to_dict())
+
+    @settings(max_examples=120, deadline=None)
+    @given(target=st.one_of(
+               st.tuples(st.just("exact"), st.integers(0, 96),
+                         st.sampled_from([1, 3, 7, 64, 96])),
+               st.tuples(st.just("stream"),
+                         st.lists(st.integers(1, 6), min_size=1, max_size=4))),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           mode=st.sampled_from(list(PrecisionMode)),
+           eps=st.sampled_from([Fraction(1, 3), Fraction(1, 64), Fraction(5, 7),
+                                Fraction(1, 1 << 70)]),
+           wait=st.sampled_from(list(WaitPolicy)),
+           K=st.sampled_from([Fraction(1), Fraction(3, 7), Fraction(1, 1000)]),
+           N=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(7, 5), Fraction(1000)]),
+           c_setup=st.sampled_from([Fraction(0), Fraction(1), Fraction(2, 3)]),
+           seed=st.integers(0, 2**16),
+           # (word, e, q): the budget 2**e / q, up to 2**400-sized
+           queries=st.lists(st.tuples(
+               st.one_of(st.just("1"), st.text("01", max_size=12).map(lambda w: "0" + w)),
+               st.integers(0, 400), st.integers(1, 15)), min_size=1, max_size=5))
+    @example(target=("exact", 1, 3), timing="protocol", mode=PrecisionMode.FIXED,
+             eps=Fraction(1, 3), wait=WaitPolicy.FULL_BUDGET, K=Fraction(1),
+             N=Fraction(0), c_setup=Fraction(2, 3), seed=0,
+             queries=[("1", 400, 1), ("0", 3, 7)])
+    def test_query_lines_match_the_encoder(self, target, timing, mode, eps, wait,
+                                           K, N, c_setup, seed, queries):
+        source = (from_rational(min(target[1], target[2]), target[2])
+                  if target[0] == "exact" else from_run_lengths(target[1]))
+        cfg = OracleConfig(K=K, N=N, timing=timing, mode=mode, wait_policy=wait,
+                           epsilon=eps if mode is PrecisionMode.FIXED else None,
+                           c_setup=c_setup, seed=seed, probe_depth_cap=64)
+        oracle = CollisionOracle(source, cfg)
+        for word, e, q in queries:
+            oracle.query(word, Fraction(1 << e, q),
+                         epsilon=eps if mode is PrecisionMode.ARBITRARY else None)
+        self.assert_lines(oracle.transcript)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=st.tuples(st.integers(0, 96), st.sampled_from([3, 7, 64, 96])),
+           r=st.integers(1, 6),
+           K=st.sampled_from([Fraction(1), Fraction(3, 7), Fraction(1, 1000)]),
+           c_setup=st.sampled_from([Fraction(0), Fraction(1), Fraction(2, 3)]))
+    def test_bulk_grid_lines_match_the_encoder(self, mu, r, K, c_setup):
+        cfg = OracleConfig(K=K, c_setup=c_setup, wait_policy=WaitPolicy.FULL_BUDGET)
+        oracle = CollisionOracle(from_rational(min(*mu), mu[1]), cfg)
+        self.assert_lines(oracle.fire_grid(r, K * (1 << (2 * r + 1))))
+
+    def test_both_bulk_runs_and_negative_elapsed(self):
+        # 1/3 at level 4: lesser records written below the window, greater
+        # above it, ending with the word "1"
+        cfg = OracleConfig(c_setup=Fraction(2, 3), wait_policy=WaitPolicy.FULL_BUDGET)
+        recs = CollisionOracle(from_rational(1, 3), cfg).fire_grid(4, Fraction(512))
+        assert {Outcome.LESSER, Outcome.GREATER} <= {rec.outcome for rec in recs}
+        assert recs[-1].word == "1"
+        self.assert_lines(recs)
+        # jitter up to 1000 against arrivals near K = 1/1000: an early flag
+        # reads a negative elapsed time
+        cfg = OracleConfig(K=Fraction(1, 1000), N=Fraction(1000), seed=3)
+        oracle = CollisionOracle(from_rational(1, 3), cfg)
+        for p in range(16):
+            oracle.query("0" + format(p, "04b"), Fraction(1, 3))
+        assert any(rec.elapsed < 0 for rec in oracle.transcript)
+        self.assert_lines(oracle.transcript)
+
+
+class TestDrawOverLcm:
+    """m* over lcm(zd, ed) 2**64 is the value of the old zd ed 2**64 form."""
+
+    @staticmethod
+    def product_form(seed, z, eps, stream, trial):
+        (zn, zd), en, ed = z, eps.numerator, eps.denominator
+        r = rng.raw64(seed, stream, 2 * trial)
+        num = ((zn * ed - en * zd) << 64) + 2 * en * zd * r
+        den = zd * ed << 64
+        return Fraction(0) if num < 0 else Fraction(1) if num > den else Fraction(num, den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(word=st.one_of(st.just("1"), st.text("01", max_size=80).map(lambda w: "0" + w)),
+           eps=st.one_of(st.integers(0, 90).map(lambda e: Fraction(1, 1 << e)),
+                         st.fractions(Fraction(1, 10**6), 2, max_denominator=10**6)),
+           seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**16),
+           trial=st.integers(0, 2**16))
+    # a tolerance of 1 around 1/4 and 3/4 leaves [0, 1] on both sides
+    @example(word="001", eps=Fraction(1), seed=0, stream=0, trial=0)
+    @example(word="011", eps=Fraction(1), seed=0, stream=0, trial=1)
+    def test_draw_matches_the_product_form(self, word, eps, seed, stream, trial):
+        z = int(word, 2), 1 << len(word) - 1
+        oracle = CollisionOracle(from_rational(1, 3), OracleConfig(
+            mode=PrecisionMode.ARBITRARY, seed=seed))
+        assert Fraction(*oracle._draw_mass(z, eps, stream, trial)) == \
+            self.product_form(seed, z, eps, stream, trial)
+
+    def test_clipped_draws_on_both_sides(self):
+        oracle = CollisionOracle(from_rational(1, 3), OracleConfig(
+            mode=PrecisionMode.ARBITRARY))
+        draws = {oracle._draw_mass((1, 2), Fraction(1), 0, t) for t in range(64)}
+        assert {(0, 1), (1, 1)} <= draws

@@ -146,14 +146,16 @@ class TestBisection:
 
 class TestBisectionMatchesReferenceModel:
     """Bisection on a digit-stream target fires, bills and reads like the
-    Fraction bracket-and-midpoint transcription in tests/reference_model.py."""
+    Fraction bracket-and-midpoint transcription in tests/reference_model.py.
+    Non-integer K and c_setup take the budget and setup paths that divide."""
 
     @settings(max_examples=200, deadline=None)
     @given(runs=st.lists(st.integers(1, 5), min_size=1, max_size=4),
            K=st.tuples(st.integers(1, 16), st.integers(1, 16)),
            shift=st.integers(0, 7),
            N=st.integers(0, 16),
-           c_setup=st.integers(0, 3),
+           c_setup=st.one_of(st.integers(0, 3),
+                             st.fractions(0, 3, max_denominator=12)),
            arbitrary=st.booleans(),
            wait=st.sampled_from(list(WaitPolicy)),
            seed=st.integers(0, 2**16),
@@ -162,6 +164,10 @@ class TestBisectionMatchesReferenceModel:
              wait=WaitPolicy.INTERRUPT, seed=0, n_digits=24)
     @example(runs=[1], K=(3, 2), shift=1, N=4, c_setup=2, arbitrary=True,
              wait=WaitPolicy.FULL_BUDGET, seed=5, n_digits=12)
+    # interrupt arrivals over 2**48 and jitter, then a timeout billed K 2**n
+    # with K = 3/7: the stage times have mixed denominators
+    @example(runs=[3, 2, 4], K=(3, 7), shift=2, N=5, c_setup=Fraction(2, 3),
+             arbitrary=False, wait=WaitPolicy.INTERRUPT, seed=1, n_digits=30)
     def test_bisection_matches_reference_model(self, runs, K, shift, N, c_setup,
                                                arbitrary, wait, seed, n_digits):
         Kf = Fraction(*K)
@@ -182,6 +188,7 @@ class TestBisectionMatchesReferenceModel:
              for word, budget, res, setup in records]
         assert (rep.digits, rep.status(), rep.total_time, rep.total_setup) == \
             (want["digits"], want["status"], want["total_time"], want["total_setup"])
+        assert rep.total_time == sum(rep.stage_elapsed, Fraction(0))
 
 ULP = Fraction(1, 1 << 64)
 
@@ -351,13 +358,20 @@ class TestClosedFormAccounting:
                 start, before = len(oracle.transcript), oracle.total_elapsed
                 self.check(oracle, run(oracle), start, before)
 
+    def test_waiting_time_over_mixed_denominators(self):
+        # jittered arrivals, then a timeout billed (3/7) 2**n
+        cfg = OracleConfig(K=Fraction(3, 7), N=Fraction(5, 16), seed=1)
+        oracle = CollisionOracle(from_run_lengths([3, 2, 4]), cfg)
+        report = bisection(oracle, 30, schedule_exponential(Fraction(3, 7), 2))
+        assert report.status() == "timed-out-at-digit:5"
+        assert len({t.denominator for t in report.stage_elapsed}) == 3
+        assert report.total_time == sum(report.stage_elapsed, Fraction(0))
+
     def test_bisection_keeps_one_setup_cost(self):
-        # every bisection stage bills a new word length, so a cost kept per
-        # length would grow by one entry a stage
+        # every bisection stage bills a new word length at a fractional c_setup
         cfg = OracleConfig(c_setup=Fraction(2, 3), wait_policy=WaitPolicy.FULL_BUDGET)
         oracle = CollisionOracle(from_rational(1, 3), cfg)
         assert bisection(oracle, 400, schedule_exponential(1, 6)).complete
-        assert len(oracle._setup) <= 1
         assert [rec.setup for rec in oracle.transcript] == \
             [Fraction(2, 3) * len(rec.word) for rec in oracle.transcript]
 
