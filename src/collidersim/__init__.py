@@ -16,7 +16,7 @@ from .collision import (Outcome, accuracy_time_floor, classify_outcome,
 from .dyadic import Dyadic, validate_word, word_to_dyadic
 from .oracle import (BatchRecord, CollisionOracle, ConfigError, OracleConfig,
                      PrecisionMode, QueryRecord, TimeoutExceeded,
-                     TimeoutReaction, WaitPolicy, timeout_window)
+                     TimeoutReaction, WaitPolicy)
 from .sources import (MassSource, RunLengths, adversarial_mass,
                       affine_of_source, custom, diagonal_run_lengths,
                       distance_bracket, from_dyadic, from_rational,

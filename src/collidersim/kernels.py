@@ -13,8 +13,9 @@ batch with N=0 never makes).
 
 Threshold derivation: the realized mass is m* = z - eps + 2*eps*r/2^64
 for a raw draw r in [0, 2^64).  An answer requires a strictly early
-arrival, i.e. m* outside the oracle's mass cutoffs [lo, hi]
-(`CollisionOracle.cutoffs`; mu -/+ eta under protocol timing), so
+arrival, i.e. m* outside [lo, hi], the oracle's one decision rule
+(`CollisionOracle.cutoffs`) at the zero-width cell of the exact target
+mu, whose timeout window is [lo, hi] (mu -/+ eta under protocol timing), so
 
     lesser   <=>  m* < lo  <=>  r < (lo - z + eps) * 2^64 / (2 eps)
     greater  <=>  m* > hi  <=>  r > (hi - z + eps) * 2^64 / (2 eps)
@@ -131,8 +132,8 @@ def count_thresholds(seed: int, stream: int, zeta: int, r_lo: int, r_hi1: int):
 
 
 def cutoff_thresholds(z: Fraction, epsilon: Fraction, lo: tuple, hi) -> tuple[int, int]:
-    """Draw-space cutoffs (r_lo, r_hi) of the mass cutoffs lo and hi, (n, d)
-    pairs with hi possibly None: lesser <=> r < r_lo, greater <=> r >= r_hi."""
+    """Draw-space (r_lo, r_hi) of an exact target's cell cutoffs lo and hi, (n, d)
+    pairs, hi None if none: lesser <=> r < r_lo, greater <=> r >= r_hi."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     zn, zd, en, ed = z.numerator, z.denominator, epsilon.numerator, epsilon.denominator

@@ -13,14 +13,14 @@ mass never appears in a record; it only shapes answer/timeout patterns
 and arrival times, which is exactly the information channel under
 study.
 
-Decisions are certified, never guessed.  For an exactly-known target
-the decision compares m* with the two integer mass cutoffs of `cutoffs`,
-the same ones the batch kernel and the grid sweep use, and the arrival
-time is computed in closed form.  For a target known only
-as a digit stream, the query reads just enough digits to prove the
-arrival falls strictly before the deadline or at-or-after it; the
-convention that a deadline-exact arrival counts as a timeout is what
-makes this provable from a finite prefix of a non-dyadic target.
+Decisions are certified, never guessed, by one rule: m* against the
+`cutoffs` of a target cell.  An exactly-known target is the zero-width
+cell, which always settles, and its arrival is computed in closed form;
+the batch kernel and the grid sweep read the same cutoffs.  A target
+known only as a digit stream is the cell of a depth-d prefix, deepened
+until it settles; the convention that a deadline-exact arrival counts
+as a timeout is what makes this provable from a finite prefix of a
+non-dyadic target.
 """
 
 from __future__ import annotations
@@ -310,8 +310,8 @@ class CollisionOracle:
         cfg = self.config
         z, budget, epsilon = self._resolve(word, budget, epsilon)
         index = len(self.transcript)
-        m_star = self._draw_mass(z, epsilon, index)
-        jitter = self._draw_jitter(index)
+        m_star = z if epsilon is None else self._draw_mass(z, epsilon, index)
+        jitter = self._draw_jitter(index) if cfg.N else _ZERO
         full = cfg.wait_policy is _FULL_BUDGET
         outcome, arrival, depth = self._decide(m_star, jitter, budget, not full)
         elapsed = budget if full or outcome is _TIMEOUT else arrival
@@ -342,13 +342,15 @@ class CollisionOracle:
         clear of the window, get the records `query` would append, written
         in two runs: lesser below the window, greater above it.
         """
-        n, cfg = 1 << r, self.config
+        n, cfg, exact = 1 << r, self.config, self.source.exact_value
         a, b = 0, n + 1
-        if (self.source.exact_value is not None and cfg.N == 0
+        if (exact is not None and cfg.N == 0
                 and cfg.mode is _ERROR_FREE and cfg.wait_policy is _FULL_BUDGET):
-            (an, ad), hi = self.cutoffs(budget)
-            first = min(max(-((-an << r) // ad), 0), n + 1)
-            end = n + 1 if hi is None else min(max((hi[0] << r) // hi[1] + 1, 0), n + 1)
+            s, rule = self.cutoffs(budget.numerator, budget.denominator)
+            lo, _, _, hi = rule(exact.numerator, exact.numerator, 0, exact.denominator)
+            den = s * exact.denominator
+            first = min(max(-((-lo << r) // den), 0), n + 1)
+            end = n + 1 if hi is None else min(max((hi << r) // den + 1, 0), n + 1)
             a, b = max(first - 1, 0), min(end, n) + 1
         words = ["0"]
         for _ in range(r):
@@ -415,47 +417,83 @@ class CollisionOracle:
         arrival exactly at the deadline is a timeout.  That strictness
         matches the threshold counting used by the batched engine, and
         it is the reason equality never has to be decided from an
-        infinite digit tail.
+        infinite digit tail.  A digit stream's cell [p, p + 1]/2**d deepens
+        from the depth that sees the smallest gap that could still answer,
+        from arrival >= law(m*, 0) / gap, to the probe cap.
         """
-        deadline = budget - jitter if jitter else budget
-        if deadline.numerator <= 0:
-            return _TIMEOUT, None, None
-
-        exact = self.source.exact_value
-        if exact is None:
-            return self._decide_probed(m_star, jitter, deadline, need_arrival)
-        (mn, md), un, ud = m_star, exact.numerator, exact.denominator
-        diff = mn * ud - un * md
-        lo, hi = self.cutoffs(deadline)
-        # only the cutoff on m*'s own side of mu can be crossed
-        if diff < 0 and mn * lo[1] < lo[0] * md:
-            side = _LESSER
-        elif diff > 0 and hi is not None and mn * hi[1] > hi[0] * md:
-            side = _GREATER
-        else:
-            return _TIMEOUT, None, None
-        if not need_arrival:
-            return side, None, None
-        # law / gap, with gap = |m* - mu| = |diff| / (md ud)
-        ln, ld = self._law(mn, md, un, ud)
-        return side, Fraction(ln * md * ud, ld * abs(diff)) + jitter, None
-
-    def cutoffs(self, deadline: Fraction):
-        """Mass cutoffs (lo, hi) of an exact target at a positive deadline T,
-        as unreduced (n, d) pairs with d > 0: a realised mass below lo
-        answers lesser, one above hi greater, and one in [lo, hi] times out.
-        Protocol timing gives mu -/+ K/T.  Kinematic timing, where
-        c (m* + mu) < T |m* - mu| with c = r/u is linear on each side of mu,
-        gives mu (T - c)/(T + c) and mu (T + c)/(T - c), or hi None when
-        T <= c, as then no mass answers greater."""
-        un, ud = self.source.exact_value.numerator, self.source.exact_value.denominator
+        deadline = budget if jitter is _ZERO else budget - jitter
         tn, td = deadline.numerator, deadline.denominator
-        cn, cd = self._law(0, 1, 1, 1)
+        if tn <= 0:
+            return _TIMEOUT, None, None
+        mn, md = m_star
+        _, rule = self.cutoffs(tn, td)
+        exact = self.source.exact_value
+        if exact is not None:
+            # the zero-width cell and m* over ud md: lo_t = lo and hi_t = hi
+            un, ud = exact.numerator, exact.denominator
+            lo, _, _, hi = rule(un * md, un * md, mn * ud, ud * md)
+            side = _LESSER if lo > 0 else _GREATER if hi is not None and hi < 0 else _TIMEOUT
+            if side is _TIMEOUT or not need_arrival:
+                return side, None, None
+            # law / gap, with gap = |m* - mu| = |mn ud - un md| / (md ud)
+            ln, ld = self._law(mn, md, un, ud)
+            return side, Fraction(ln * md * ud, ld * abs(mn * ud - un * md)) + jitter, None
+        prefix_int = self.source.prefix_int
+        fn, fd = self._law(mn, md, 0, 1)
+        start = max(8, (tn * fd // (td * fn)).bit_length() + 2) if fn else 8
+
+        def probe(depth: int):
+            # the cell [p, p + 1]/2**depth and m* over md 2**depth
+            pn = prefix_int(depth) * md
+            lo, lo_t, hi_t, hi = rule(pn, pn + md, mn << depth, md << depth)
+            if lo > 0:
+                return _LESSER
+            if hi is not None and hi < 0:
+                return _GREATER
+            if lo_t <= 0 and (hi_t is None or hi_t >= 0):
+                return _TIMEOUT
+            return None
+
+        outcome, depth = refine(start, self.config.probe_depth_cap, probe)
+        if outcome is None or outcome is _TIMEOUT:
+            return _TIMEOUT, None, depth
+        arrival = self._reported_arrival(m_star, depth, jitter) if need_arrival else None
+        return outcome, arrival, depth
+
+    def cutoffs(self, tn: int, td: int):
+        """The mass-cutoff rule at a positive deadline T = tn/td, as (s, rule)
+        with s > 0: rule(pn, qn, m, d) gives the cutoffs (lo, lo_t, hi_t, hi)
+        of the target cell [pn, qn]/d (0 <= pn <= qn) less the mass m/d, as
+        numerators over s d; m = 0 gives the cutoffs.  For every target in
+        the cell a mass below lo answers lesser, one above hi greater, and
+        one in [lo_t, hi_t] times out; any other needs a narrower cell.  An
+        exact mu = un/ud is the zero-width cell (un, un, ud).
+
+        Protocol timing gives pn/d - K/T, qn/d - K/T, pn/d + K/T and
+        qn/d + K/T.  Kinematic timing, c (m* + mu) < T |m* - mu| with
+        c = r/u, reads the law at the cell's far end: (T pn - c qn) and
+        (T qn - c pn) over d (T + c), then pn (T + c) and qn (T + c) over
+        d (T - c), or None when T <= c, as then no mass answers greater."""
         if self.config.timing == "protocol":
-            m, w, d = un * cd * tn, cn * td * ud, ud * cd * tn    # mu, K/T over d
-            return (m - w, d), (m + w, d)
-        plus, minus = tn * cd + cn * td, tn * cd - cn * td
-        return (un * minus, ud * plus), ((un * plus, ud * minus) if minus > 0 else None)
+            K = self.config.K
+            a, b = tn * K.denominator, K.numerator * td    # T and K over td K.d
+
+            def rule(pn: int, qn: int, m: int, d: int):
+                # pn - m and qn - m are small when the cell is near the mass
+                x, y, w = a * (pn - m), a * (qn - m), b * d
+                return x - w, y - w, x + w, y + w
+            return a, rule
+        cn, cd = self._law(0, 1, 1, 1)
+        a, b = tn * cd, cn * td    # T and c over td cd
+        plus, minus = a + b, a - b
+        if minus <= 0:
+            return plus, lambda pn, qn, m, d: (a * (pn - m) - b * (qn + m),
+                                               a * (qn - m) - b * (pn + m), None, None)
+
+        def rule(pn: int, qn: int, m: int, d: int):
+            return (minus * (a * (pn - m) - b * (qn + m)), minus * (a * (qn - m) - b * (pn + m)),
+                    plus * (plus * pn - minus * m), plus * (plus * qn - minus * m))
+        return plus * minus, rule
 
     def _law(self, mn: int, md: int, un: int, ud: int) -> tuple[int, int]:
         """Arrival time times |m* - mu| as an unreduced n/d, for m* = mn/md
@@ -468,42 +506,6 @@ class CollisionOracle:
         return (r.numerator * u.denominator * (mn * ud + un * md),
                 r.denominator * u.numerator * md * ud)
 
-    def _arrival_bounds(self, mn: int, md: int, depth: int):
-        """(side, a, b, x_lo, x_hi) from a depth-d prefix, for m* = mn/md:
-        prefix_bracket over D = md * 2**depth, and every arrival lies in
-        [c x_lo / b, c x_hi / a], with x = D under protocol timing and
-        D (m* + mu) over the prefix interval under kinematic timing."""
-        p = self.source.prefix_int(depth)
-        side, a, b = prefix_bracket(p, mn, md, depth)
-        if self.config.timing == "protocol":
-            x = md << depth
-            return side, a, b, x, x
-        x = (mn << depth) + p * md
-        return side, a, b, x, x + md
-
-    def _decide_probed(self, m_star, jitter, deadline, need_arrival=True):
-        mn, md = m_star
-        cn, cd = self._law(0, 1, 1, 1)
-        tn, td = deadline.numerator, deadline.denominator
-        # digits enough to see the smallest gap that could still answer,
-        # from arrival >= law(m*, 0) / gap
-        fn, fd = self._law(mn, md, 0, 1)
-        start = max(8, (tn * fd // (td * fn)).bit_length() + 2) if fn else 8
-
-        def settle(depth: int):
-            side, a, b, x_lo, x_hi = self._arrival_bounds(mn, md, depth)
-            if a and cn * x_hi * td < tn * a * cd:
-                return _LESSER if side < 0 else _GREATER
-            if cn * x_lo * td >= tn * b * cd:
-                return _TIMEOUT
-            return None
-
-        outcome, depth = refine(start, self.config.probe_depth_cap, settle)
-        if outcome is None or outcome is _TIMEOUT:
-            return _TIMEOUT, None, depth
-        arrival = self._reported_arrival(m_star, depth, jitter) if need_arrival else None
-        return outcome, arrival, depth
-
     _CLOCK_BITS = 48
 
     def _reported_arrival(self, m_star, depth_hint, jitter) -> Fraction:
@@ -514,8 +516,11 @@ class CollisionOracle:
         narrowed until it fits inside one clock tick, then snapped to
         the tick grid.  Deterministic, so replays reproduce it exactly.
 
-        Past depth_hint the certified gap a only grows, and the enclosure
-        at depth d is at most 4 law(m*, 1) 2**-d / a**2 wide, so every
+        At depth d every arrival lies in [c x_lo / b, c x_hi / a], with
+        a <= D |m* - mu| <= b over D = md 2**d and x = D (protocol) or
+        D (m* + mu) over the prefix cell (kinematic).  Past depth_hint the
+        certified gap a only grows, and the enclosure at depth d is at most
+        4 law(m*, 1) 2**-d / a**2 wide, so every
         d >= need = bits_above(4 law(m*, 1) 2**48 / a**2) fits it inside a
         tick.  The digit horizon is the first doubling of depth_hint that
         reaches both need and four times the probe cap.
@@ -526,12 +531,16 @@ class CollisionOracle:
         a, _, _ = distance_bracket(self.source, Fraction(mn, md), depth_hint)
         ln, ld = self._law(mn, md, 1, 1)
         need = ((ln * a.denominator ** 2 << bits + 2) // (ld * a.numerator ** 2)).bit_length()
+        prefix_int, protocol = self.source.prefix_int, self.config.timing == "protocol"
 
         def settle(depth: int):
-            # latest - earliest = c (x_hi b - x_lo a) / (a b) under one tick;
-            # a = 0 leaves the left side positive and the right side 0
-            _, a, b, x_lo, x_hi = self._arrival_bounds(mn, md, depth)
-            if (cn * (x_hi * b - x_lo * a)) << bits < cd * a * b:
+            # latest - earliest = c (x_hi b - x_lo a) / (a b) under one tick,
+            # with b - a = md: x_hi b - x_lo a is md x_lo, or md (x_lo + b)
+            # when x_hi = x_lo + md; a = 0 leaves the right side 0
+            p = prefix_int(depth)
+            _, a, b = prefix_bracket(p, mn, md, depth)
+            x_lo = md << depth if protocol else (mn << depth) + p * md
+            if (cn * md * (x_lo if protocol else x_lo + b)) << bits < cd * a * b:
                 return (cn * x_lo << bits) // (cd * b)
             return None
 
@@ -570,8 +579,11 @@ class CollisionOracle:
         )
         if usable_kernel:
             from . import kernels
+            s, rule = self.cutoffs(budget.numerator, budget.denominator)
+            lo, _, _, hi = rule(exact.numerator, exact.numerator, 0, exact.denominator)
+            den = s * exact.denominator
             n_less, n_great = kernels.count_outcomes(
-                cfg.seed, index, zeta, zf, epsilon, *self.cutoffs(budget))
+                cfg.seed, index, zeta, zf, epsilon, (lo, den), hi if hi is None else (hi, den))
             engine = kernels.engine_name()
         else:
             n_less = n_great = 0
@@ -602,16 +614,3 @@ class CollisionOracle:
     def total_elapsed(self) -> Fraction:
         return sum((r.total_time for r in self.transcript), Fraction(0))
 
-
-def timeout_window(config: OracleConfig, budget) -> Fraction:
-    """Half-width of the mass window around the target that can time out.
-
-    Inverting arrival = K/gap + jitter at the worst jitter: any realized
-    mass with |m* - target| < K/(budget - N) may miss the deadline, and
-    the window is symmetric because the arrival law sees only |m* - target|.
-    With N = 0 this is the exact timeout half-width.
-    """
-    budget = to_fraction(budget)
-    if budget <= config.N:
-        raise ConfigError("budget must exceed the jitter bound")
-    return config.K / (budget - config.N)

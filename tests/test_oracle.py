@@ -10,7 +10,7 @@ from collidersim import rng
 from collidersim.collision import Outcome
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
                                 PrecisionMode, TimeoutExceeded,
-                                TimeoutReaction, WaitPolicy, timeout_window)
+                                TimeoutReaction, WaitPolicy)
 from collidersim.sources import (RunLengths, affine_of_source, custom,
                                  from_dyadic, from_rational, from_run_lengths)
 from collidersim.dyadic import Dyadic, word_to_dyadic
@@ -44,12 +44,6 @@ class TestConfig:
         # a float 0.1 is 3602879701896397/36028797018963968, not 1/10
         with pytest.raises(TypeError, match="0.1"):
             OracleConfig(**{field: 0.1})
-
-    def test_timeout_window(self):
-        cfg = OracleConfig(K=Fraction(2), N=Fraction(1, 2))
-        assert timeout_window(cfg, 10) == Fraction(2) / Fraction(19, 2)
-        with pytest.raises(ConfigError):
-            timeout_window(cfg, Fraction(1, 2))
 
 
 class TestExactQueries:
@@ -674,6 +668,88 @@ class TestIntegerDecisionProperty:
             assert rec.elapsed == budget
 
 
+class TestCellCutoffsMatchArrivalBounds:
+    """At one depth, the cutoffs of the target cell [p, p + 1]/2**d settle
+    a query as the reference model's arrival bounds do: latest < T answers
+    on m*'s side, earliest >= T times out, and anything else reads deeper.
+
+    A mass strictly inside the cell never answers.  There the cutoffs may
+    time out where the bounds, which pair the nearest law term with the
+    cell's whole width, still read deeper; from the start depth on, where
+    2**-d < law(m*, 0) / (4 T), both time out."""
+
+    class Prefix:
+        def __init__(self, p):
+            self.p = p
+
+        def prefix_int(self, depth):
+            return self.p
+
+    @staticmethod
+    def cell_verdict(oracle, m, T, p, depth):
+        """The verdict of the cell's cutoffs on m, read twice: m against the
+        cutoffs themselves, and the signs of the cutoffs less m, computed
+        over the common denominator md 2**depth as the decision does."""
+        s, rule = oracle.cutoffs(T.numerator, T.denominator)
+        lo, lo_t, hi_t, hi = (None if c is None else Fraction(c, s << depth)
+                              for c in rule(p, p + 1, 0, 1 << depth))
+        verdicts = {"lesser": m < lo, "greater": hi is not None and m > hi,
+                    "timeout": lo_t <= m and (hi_t is None or m <= hi_t)}
+        mn, md = m.numerator, m.denominator
+        lo, lo_t, hi_t, hi = rule(p * md, (p + 1) * md, mn << depth, md << depth)
+        assert (lo > 0, hi is not None and hi < 0,
+                lo_t <= 0 and (hi_t is None or hi_t >= 0)) == tuple(verdicts.values())
+        return next((v for v, hit in verdicts.items() if hit), None)
+
+    @settings(max_examples=400, deadline=None)
+    @given(cell=st.integers(1, 48).flatmap(
+               lambda d: st.tuples(st.integers(0, (1 << d) - 1), st.just(d))),
+           place=st.sampled_from(["zero", "below", "lo_end", "inside", "hi_end", "above"]),
+           t=st.tuples(st.integers(1, 1 << 20), st.integers(1, 1 << 20)),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           K=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+           ru=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           T=st.tuples(st.integers(0, 48), st.integers(1, 15)))
+    # T = c = 1: nothing above the cell answers, and all of it times out
+    @example(cell=(5, 4), place="above", t=(1, 1), timing="kinematic", K=(1, 1),
+             ru=(3, 3), T=(0, 1))
+    # T < c, m* = 0 below the cell: lesser needs T pn > c qn, never here
+    @example(cell=(3, 2), place="zero", t=(1, 1), timing="kinematic", K=(1, 1),
+             ru=(4, 1), T=(1, 1))
+    # m* inside the cell past the start depth: both time out
+    @example(cell=(123456789, 30), place="inside", t=(1, 2), timing="kinematic",
+             K=(1, 1), ru=(1, 1), T=(20, 1))
+    @example(cell=(98765, 24), place="inside", t=(1, 3), timing="protocol",
+             K=(3, 2), ru=(1, 1), T=(16, 1))
+    def test_cell_verdict_matches_arrival_bounds(self, cell, place, t, timing, K, ru, T):
+        p, depth = cell
+        t = Fraction(t[0], t[0] + t[1])    # in (0, 1)
+        P, Q = Fraction(p, 1 << depth), Fraction(p + 1, 1 << depth)
+        m = {"zero": Fraction(0), "below": P * t, "lo_end": P, "hi_end": Q,
+             "inside": P + (Q - P) * t, "above": Q + (1 - Q) * t}[place]
+        T = Fraction(1 << T[0], T[1])
+        cfg = OracleConfig(K=Fraction(*K), timing=timing,
+                           flag_distance=Fraction(ru[0]), launch_speed=Fraction(ru[1]))
+        app = reference_model.Apparatus(K=cfg.K, timing=timing,
+                                         flag_distance=cfg.flag_distance,
+                                         launch_speed=cfg.launch_speed)
+        side, _, earliest, latest = reference_model.arrival_bounds(
+            app, self.Prefix(p), m, depth)
+        if latest is not None and latest < T:
+            want = "lesser" if side < 0 else "greater"
+        else:
+            want = "timeout" if earliest >= T else None
+        got = self.cell_verdict(CollisionOracle(self.Prefix(p), cfg), m, T, p, depth)
+        if P < m < Q:
+            floor_law = reference_model.law(app, m, 0)
+            start = max(8, reference_model.bits_above(T / floor_law) + 2)
+            assert got in ("timeout", None) and want in ("timeout", None)
+            if want == "timeout" or depth >= start:
+                assert got == want == "timeout"
+        else:
+            assert got == want
+
+
 class TestStreamQueriesMatchReferenceModel:
     """Queries on digit-stream targets decide, bill and draw like the
     Fraction transcription in tests/reference_model.py, record by record."""
@@ -710,6 +786,17 @@ class TestStreamQueriesMatchReferenceModel:
              ru=(1, 1), N=0, mode=PrecisionMode.ERROR_FREE, eps_bits=1,
              wait=WaitPolicy.INTERRUPT, cap=4096, seed=0,
              queries=[(1, False, 5, 13)])
+    # kinematic cutoffs read the law at the far end of the target cell: the
+    # tight rule lo = pn (T - c)/(d (T + c)) answers the word 0111 at depth
+    # 8, not 16, and times out the word 0 at T = c at depth 8, not the cap
+    @example(stream=("pattern", [5]), timing="kinematic", K=(1, 1),
+             ru=(2, 2), N=0, mode=PrecisionMode.ERROR_FREE, eps_bits=1,
+             wait=WaitPolicy.INTERRUPT, cap=4096, seed=0,
+             queries=[(3, False, 8, 13)])
+    @example(stream=("pattern", [2]), timing="kinematic", K=(1, 1),
+             ru=(4, 4), N=0, mode=PrecisionMode.ERROR_FREE, eps_bits=1,
+             wait=WaitPolicy.INTERRUPT, cap=4096, seed=0,
+             queries=[(0, False, 3, 8)])
     def test_query_matches_reference_model(self, stream, timing, K, ru, N, mode,
                                            eps_bits, wait, cap, seed, queries):
         eps = Fraction(1, 1 << eps_bits)
