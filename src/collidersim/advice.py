@@ -22,6 +22,7 @@ import bisect
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
+from .dyadic import to_fraction
 from .sources import MassSource, parse_fraction
 
 TRIPLE_OF_BIT = {"0": "100", "1": "010"}
@@ -79,8 +80,8 @@ class PrefixFunction:
 
     def __init__(self, fn: Callable[[int], str], a, b,
                  stable_from: Optional[int] = None, descriptor: str = "callable"):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = to_fraction(a)
+        self.b = to_fraction(b)
         if self.a < 0 or self.b < 0:
             raise ValueError("growth parameters must be nonnegative")
         self.stable_from = stable_from
@@ -245,8 +246,8 @@ def read_bound(word_length: int, a, b) -> int:
     if word_length < 1:
         raise ValueError("word_length must be >= 1")
     m = (word_length - 1).bit_length()
-    a = Fraction(a)
-    b = Fraction(b)
+    a = to_fraction(a)
+    b = to_fraction(b)
     content = (a * m + b).__floor__()
     return 3 * content + 3 * (m + 1)
 

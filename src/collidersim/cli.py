@@ -71,7 +71,7 @@ def _choice(table: dict, text: str):
 
 def _resolve_config(args) -> OracleConfig:
     """Flags first, then the --config file, then the command's own defaults."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _load_config_file(args.config) if args.config else {}
 
     def pick(flag, key, default):
         if flag is not None:
@@ -80,24 +80,24 @@ def _resolve_config(args) -> OracleConfig:
             return str(file_cfg[key])
         return default
 
-    seed = pick(getattr(args, "seed", None), "seed", os.environ.get(SEED_ENV, "0"))
+    seed = pick(args.seed, "seed", os.environ.get(SEED_ENV, "0"))
     try:
         seed = int(seed)
     except ValueError:
         where = (f"{args.config}: seed" if file_cfg.get("seed") is not None
                  else f"${SEED_ENV}")
         raise ValueError(f"{where} must be an integer, got {seed!r}") from None
-    eps_text = pick(getattr(args, "epsilon", None), "epsilon", None)
+    eps_text = pick(args.epsilon, "epsilon", None)
     return OracleConfig(
         K=parse_fraction(pick(args.K, "K", "1")),
         N=parse_fraction(pick(args.N, "N", "0")),
         mode=_choice(_MODES, pick(args.mode, "mode", args.default_mode)),
         epsilon=parse_fraction(eps_text) if eps_text is not None else None,
         wait_policy=_choice(_WAITS, pick(args.wait, "wait_policy", args.default_wait)),
-        timeout_reaction=_choice(_REACTIONS, pick(getattr(args, "on_timeout", None),
-                                                  "timeout_reaction", "return")),
-        c_setup=parse_fraction(pick(getattr(args, "c_setup", None), "c_setup", "1")),
-        timing=pick(getattr(args, "timing", None), "timing", "protocol"),
+        timeout_reaction=_choice(_REACTIONS,
+                                 pick(args.on_timeout, "timeout_reaction", "return")),
+        c_setup=parse_fraction(pick(args.c_setup, "c_setup", "1")),
+        timing=pick(args.timing, "timing", "protocol"),
         launch_speed=parse_fraction(pick(None, "u", "1")),
         flag_distance=parse_fraction(pick(None, "r", "1")),
         seed=seed,

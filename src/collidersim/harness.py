@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .advice import PrefixFunction, decode_advice, read_bound
 from .collision import Outcome
+from .dyadic import to_fraction
 from .oracle import CollisionOracle, ConfigError, PrecisionMode, WaitPolicy
 from .procedures import (MeasurementReport, Schedule, bisection,
                          schedule_exponential)
@@ -45,7 +46,7 @@ def embed_parameter(s_source: MassSource, epsilon) -> MassSource:
     [0, 1], mu sweeps exactly the tolerance interval around 1/2 that an
     eps-noisy z = 1/2 projectile can reach.
     """
-    eps = Fraction(epsilon)
+    eps = to_fraction(epsilon)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2]")
     return affine_of_source(Fraction(1, 2) - eps / 2, eps, s_source,
@@ -59,8 +60,8 @@ def trinomial_probabilities(s, h) -> tuple[Fraction, Fraction, Fraction]:
     tolerance units.  Requires the timeout window to sit inside the
     draw interval, which holds for all s in [0, 1] once h <= 1/2.
     """
-    s = Fraction(s)
-    h = Fraction(h)
+    s = to_fraction(s)
+    h = to_fraction(h)
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
     if not 0 <= h <= Fraction(1, 2):
@@ -72,7 +73,7 @@ def trinomial_probabilities(s, h) -> tuple[Fraction, Fraction, Fraction]:
 
 def expected_statistic(s) -> Fraction:
     """Per-trial mean of X = 2*[lesser] + [timeout]: s + 1/2, h-free."""
-    return Fraction(s) + Fraction(1, 2)
+    return to_fraction(s) + Fraction(1, 2)
 
 
 def statistic_variance(s, h) -> Fraction:
@@ -113,7 +114,7 @@ def estimator_zeta(k: int, delta) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    delta = Fraction(delta)
+    delta = to_fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     bound = 3 * (1 << (2 * k + 10)) / (4 * delta)
@@ -177,7 +178,7 @@ def estimate_digits(oracle: CollisionOracle, k: int,
     clamped = min(max(s_hat, Fraction(0)), Fraction(1))
     val = min(math.floor(clamped * (1 << k)), (1 << k) - 1)
     return DigitEstimate(
-        k=k, delta=Fraction(delta), zeta=zeta,
+        k=k, delta=to_fraction(delta), zeta=zeta,
         n_lesser=batch.n_lesser, n_greater=batch.n_greater,
         n_timeout=batch.n_timeout, statistic=x, s_hat=s_hat,
         digits=format(val, f"0{k}b"), engine=batch.engine,

@@ -53,8 +53,12 @@ def schedule_exponential(K, shift: int = 0) -> Schedule:
     """T(n) = K * 2**(n + shift)."""
     Kf = to_fraction(K)
     kn, kd = Kf.numerator, Kf.denominator    # K 2**m built from K's integers
-    return Schedule(lambda n: Fraction(kn << n + shift, kd),
-                    f"exponential:shift={shift}")
+
+    def budget(n: int) -> Fraction:
+        e = n + shift
+        return Fraction(kn << e, kd) if e >= 0 else Fraction(kn, kd << -e)
+
+    return Schedule(budget, f"exponential:shift={shift}")
 
 
 def schedule_algebraic(order: int, alpha) -> Schedule:

@@ -323,27 +323,25 @@ def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
             raise ValueError("invalid seed run lengths")
 
     j = len(initial)
-    cache = dict(enumerate(initial, start=1))
     # Blocks before the last seed block are pinned; the last is pinned too
     # unless extend_last says it may stretch, and a lone first block is
     # always kept verbatim (it is the free seed, nothing to diagonalize).
     first_free = j if (extend_last and j >= 2) else j + 1
-    state = {"a": sum(initial[:first_free - 1]), "k": first_free}
+    a = sum(initial[:first_free - 1])  # digits before the next free block
 
     def u_func(k: int) -> int:
-        while state["k"] <= k:
-            i = state["k"]
-            a_prev = state["a"]
-            base = max(a_prev, 1)
-            bound = max(to_fraction(budget_fn(base)),
-                        to_fraction(budget_fn(base + 1))) / Kf
-            floor_u = initial[-1] if (extend_last and i == j) else 1
-            # least u with 2**(a_prev + u) > bound
-            u = max(floor_u, 1, bits_above(bound) - a_prev)
-            cache[i] = u
-            state["a"] = a_prev + u
-            state["k"] = i + 1
-        return cache[k]
+        # RunLengths asks for each block once, in order
+        nonlocal a
+        if k < first_free:
+            return initial[k - 1]
+        base = max(a, 1)
+        bound = max(to_fraction(budget_fn(base)),
+                    to_fraction(budget_fn(base + 1))) / Kf
+        floor_u = initial[-1] if (extend_last and k == j) else 1
+        # least u with 2**(a + u) > bound
+        u = max(floor_u, 1, bits_above(bound) - a)
+        a += u
+        return u
 
     return RunLengths(u_func, descriptor=f"adversarial:{descriptor}")
 
@@ -409,54 +407,38 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_mass_spec(spec: str, schedule_budget=None, K=None):
-    """Inline mass syntax: kind:args.
+    """Inline mass syntax: kind:args, shorthand for one mass-file line.
 
-    rational:1/3             exact rational
-    dyadic:5/16              exact dyadic
-    pattern:3,2,4;tail=cycle run-length blocks with a named infinite tail
-    advice:PATH              mass encoding the advice table in PATH
-    adversarial:u1=4         diagonalized against the run's schedule
-    file:PATH                key=value specification file
+    rational:1/3             kind=rational p=1 q=3
+    dyadic:5/16              kind=dyadic value=5/16   (or num=5 exp=4)
+    pattern:3,2,4;tail=cycle kind=pattern u=3,2,4 tail=cycle
+    advice:PATH              kind=advice file=PATH
+    adversarial:u1=4         kind=adversarial u1=4    (needs the run's schedule and K)
+    file:PATH                the first such line of the file at PATH
     """
     if ":" not in spec:
         raise ValueError(f"mass spec {spec!r} needs the form kind:args")
     kind, args = spec.split(":", 1)
     kind = kind.strip()
-    if kind == "rational":
-        f = parse_fraction(args)
-        return from_rational(f.numerator, f.denominator)
-    if kind == "dyadic":
-        return from_dyadic(parse_fraction(args))
-    if kind == "pattern":
-        body, _, tailpart = args.partition(";")
-        tail = "repeat-last"
-        if tailpart:
-            key, _, val = tailpart.partition("=")
-            if key.strip() != "tail":
-                raise ValueError(f"unknown pattern option {tailpart!r}")
-            tail = val.strip()
-        values = [int(v) for v in body.split(",") if v.strip()]
-        return from_run_lengths(RunLengths.from_list(values, tail=tail))
-    if kind == "advice":
-        from . import advice
-        return advice.encoded_mass(advice.PrefixFunction.from_table_file(args.strip()))
-    if kind == "adversarial":
-        if schedule_budget is None or K is None:
-            raise ValueError("adversarial mass needs the run's schedule and K")
-        u1 = 4
-        for part in args.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, val = part.partition("=")
-            if key.strip() == "u1":
-                u1 = int(val)
-            else:
-                raise ValueError(f"unknown adversarial option {part!r}")
-        return adversarial_mass(schedule_budget, K, u1=u1)
     if kind == "file":
         return load_mass_file(args.strip(), schedule_budget=schedule_budget, K=K)
-    raise ValueError(f"unknown mass kind {kind!r}")
+    tokens = {}   # an unknown kind has none, and _mass_from_tokens refuses it
+    if kind == "rational":
+        f = parse_fraction(args)
+        tokens = {"p": f.numerator, "q": f.denominator}
+    elif kind == "dyadic":
+        tokens = {"value": args}
+    elif kind == "pattern":
+        body, _, option = args.partition(";")
+        tokens = _key_values([option])
+        if "u" in tokens:   # the runs are the part before ';'
+            raise ValueError(f"token {option.strip()!r} repeats the run list")
+        tokens["u"] = body
+    elif kind == "advice":
+        tokens = {"file": args.strip()}
+    elif kind == "adversarial":
+        tokens = _key_values(args.split(","))
+    return _mass_from_tokens(kind, tokens, schedule_budget, K)
 
 
 def load_mass_file(path: str, schedule_budget=None, K=None):
@@ -467,17 +449,11 @@ def load_mass_file(path: str, schedule_budget=None, K=None):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = {}
-        for tok in line.split():
-            key, eq, val = tok.partition("=")
-            if not eq:
-                raise ValueError(f"{path}:{lineno}: token {tok!r} is not key=value")
-            tokens[key] = val
-        kind = tokens.pop("kind", None)
-        if kind is None:
-            raise ValueError(f"{path}:{lineno}: missing kind=")
         try:
-            return _mass_from_tokens(kind, tokens, schedule_budget, K)
+            tokens = _key_values(line.split())
+            if "kind" not in tokens:
+                raise ValueError("missing kind=")
+            return _mass_from_tokens(tokens.pop("kind"), tokens, schedule_budget, K)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         except KeyError as exc:
@@ -485,7 +461,23 @@ def load_mass_file(path: str, schedule_budget=None, K=None):
     raise ValueError(f"{path}: no mass specification found")
 
 
+def _key_values(parts) -> dict:
+    """Stripped key=value parts as a dict: blank parts are skipped and a
+    repeated key keeps its last value."""
+    tokens = {}
+    for part in parts:
+        part = part.strip()
+        if part:
+            key, eq, val = part.partition("=")
+            if not eq:
+                raise ValueError(f"token {part!r} is not key=value")
+            tokens[key.strip()] = val.strip()
+    return tokens
+
+
 def _mass_from_tokens(kind: str, tokens: dict, schedule_budget, K):
+    """The one place a mass spec reaches a source constructor.  Every
+    token the kind does not read is an error."""
     if kind == "rational":
         src = from_rational(int(tokens.pop("p")), int(tokens.pop("q")))
     elif kind == "dyadic":
@@ -494,7 +486,7 @@ def _mass_from_tokens(kind: str, tokens: dict, schedule_budget, K):
         else:
             src = from_dyadic(Dyadic(int(tokens.pop("num")), int(tokens.pop("exp"))))
     elif kind == "pattern":
-        values = [int(v) for v in tokens.pop("u").split(",") if v]
+        values = [int(v) for v in tokens.pop("u").split(",") if v.strip()]
         tail = tokens.pop("tail", "repeat-last")
         src = from_run_lengths(RunLengths.from_list(values, tail=tail))
     elif kind == "advice":
@@ -507,10 +499,6 @@ def _mass_from_tokens(kind: str, tokens: dict, schedule_budget, K):
         src = adversarial_mass(schedule_budget, K, u1=u1)
     else:
         raise ValueError(f"unknown mass kind {kind!r}")
-    return _checked_tokens(src, tokens)
-
-
-def _checked_tokens(src, tokens):
     if tokens:
         raise ValueError(f"unused tokens {sorted(tokens)}")
     return src

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from collidersim.advice import PrefixFunction, encoded_mass
+from collidersim.advice import PrefixFunction, encoded_mass, read_bound
 from collidersim.collision import Outcome
 from collidersim.harness import (AdviceLanguage, MeasurementIncomplete,
                                  coin_amalgamation, cost_slope,
@@ -69,9 +69,37 @@ class TestEstimatorSizing:
         assert estimator_zeta(1, quarter) == 12289
         assert estimator_zeta(2, quarter) == 49153
         assert estimator_zeta(3, quarter) == 196609
+        # exact 1/10; the float 0.1 is a little above it and gave 122880
+        assert estimator_zeta(2, "1/10") == 122881
 
     def test_zeta_scales_with_confidence(self):
         assert estimator_zeta(1, Fraction(1, 8)) > estimator_zeta(1, Fraction(1, 4))
+
+
+def _fixed_oracle():
+    cfg = OracleConfig(mode=PrecisionMode.FIXED, epsilon=Fraction(1, 64),
+                       wait_policy=WaitPolicy.FULL_BUDGET)
+    return CollisionOracle(from_rational(1, 2), cfg)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: embed_parameter(from_rational(1, 7), 0.1),
+    lambda: trinomial_probabilities(0.1, Fraction(1, 4)),
+    lambda: trinomial_probabilities(Fraction(1, 3), 0.1),
+    lambda: expected_statistic(0.1),
+    lambda: estimator_zeta(2, 0.1),
+    lambda: estimate_digits(_fixed_oracle(), 1, delta=0.1),
+    lambda: PrefixFunction(lambda n: "", 0.1, 1),
+    lambda: PrefixFunction(lambda n: "", 1, 0.1),
+    lambda: read_bound(4, 0.1, 1),
+    lambda: read_bound(4, 1, 0.1),
+], ids=["embed_parameter", "trinomial-s", "trinomial-h", "expected_statistic",
+        "estimator_zeta", "estimate_digits", "PrefixFunction-a",
+        "PrefixFunction-b", "read_bound-a", "read_bound-b"])
+def test_floats_are_refused(call):
+    # a float would enter as its binary value, not the rational meant
+    with pytest.raises(TypeError, match="0.1"):
+        call()
 
 
 class TestEmbedding:

@@ -63,6 +63,12 @@ class TestSchedules:
         with pytest.raises(ValueError):
             parse_schedule("warp:9", 1)
 
+    def test_negative_exponent_halves_the_law_constant(self):
+        # T(n) = K 2**(n + shift) is K/2 at n + shift = -1, not a negative shift
+        T = parse_schedule("exp:k=-2", 1)
+        assert [T(n) for n in (1, 2, 3)] == [Fraction(1, 2), 1, 2]
+        assert schedule_exponential(Fraction(3, 5), -4)(1) == Fraction(3, 40)
+
     def test_sufficiency_constructors(self):
         # bounded run lengths u <= U: shift U+1 always outruns arrivals
         T = sufficient_exponential(1, 3)

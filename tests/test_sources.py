@@ -325,3 +325,38 @@ class TestParsing:
         path.write_text("kind=pattern u=3,2 tail=repeat-last\n")
         src = parse_mass_spec(f"file:{path}")
         assert src.run_lengths.u(3) == 2
+
+    @pytest.mark.parametrize("inline, line", [
+        ("rational:2/6", "kind=rational p=1 q=3"),
+        ("rational:0.25", "kind=rational p=1 q=4"),
+        ("dyadic:5/16", "kind=dyadic value=5/16"),
+        ("dyadic:5/16", "kind=dyadic num=5 exp=4"),
+        ("pattern:3,2,4;tail=cycle", "kind=pattern u=3,2,4 tail=cycle"),
+        ("pattern:0,2", "kind=pattern u=0,2"),
+        ("pattern:1; tail=constant:3", "kind=pattern u=1 tail=constant:3"),
+        ("advice:TABLE", "kind=advice file=TABLE"),
+        ("adversarial:u1=3", "kind=adversarial u1=3"),
+        ("adversarial:", "kind=adversarial"),
+    ])
+    def test_inline_spec_is_shorthand_for_a_file_line(self, inline, line, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_text("1\t1\n2\t10\n4\t101\n")
+        path = tmp_path / "mass.txt"
+        path.write_text(line.replace("TABLE", str(table)) + "\n")
+        run = {"schedule_budget": lambda n: Fraction(1 << (n + 1)), "K": 3}
+        short = parse_mass_spec(inline.replace("TABLE", str(table)), **run)
+        long = load_mass_file(str(path), **run)
+        assert short.describe() == long.describe()
+        assert short.prefix_int(64) == long.prefix_int(64)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("pattern:3,2;x=1", "unused tokens ['x']"),
+        ("pattern:3,2;cycle", "token 'cycle' is not key=value"),
+        ("pattern:3;u=4", "token 'u=4' repeats the run list"),
+        ("adversarial:u1=4,x=1", "unused tokens ['x']"),
+        ("adversarial:u1", "token 'u1' is not key=value"),
+    ])
+    def test_bad_inline_options_fail_in_the_file_words(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            parse_mass_spec(spec, schedule_budget=lambda n: Fraction(1 << n), K=1)
+        assert str(exc.value) == message
