@@ -20,8 +20,7 @@ from .oracle import (BatchRecord, CollisionOracle, ConfigError, OracleConfig,
 from .sources import (MassSource, RunLengths, adversarial_mass,
                       affine_of_source, custom, diagonal_run_lengths,
                       distance_bracket, from_dyadic, from_rational,
-                      from_run_lengths, load_mass_file, parse_fraction,
-                      parse_mass_spec)
+                      from_run_lengths, load_mass_file, parse_mass_spec)
 from .procedures import (MeasurementReport, Schedule, adversarial_continuation,
                          bisection, builtin_schedules,
                          constant_budget_bisection, grid_failure_measure,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
 from .dyadic import to_fraction
-from .sources import MassSource, parse_fraction
+from .sources import MassSource, _key_values, read_input
 
 TRIPLE_OF_BIT = {"0": "100", "1": "010"}
 BIT_OF_TRIPLE = {"100": "0", "010": "1"}
@@ -101,7 +101,7 @@ class PrefixFunction:
         return v
 
     @classmethod
-    def from_table(cls, pairs, a=None, b=None, binarize: Optional[bool] = None,
+    def from_table(cls, pairs, a=0, b=None, binarize: Optional[bool] = None,
                    descriptor: str = "table") -> "PrefixFunction":
         """Step function from (n, value) pairs, constant past the last key.
 
@@ -128,43 +128,44 @@ class PrefixFunction:
 
         if b is None:
             b = max((len(v) for v in values), default=0)
-        if a is None:
-            a = 0
         return cls(fn, a, b, stable_from=(keys[-1] if keys else 0),
                    descriptor=descriptor)
 
     @classmethod
     def from_table_file(cls, path: str) -> "PrefixFunction":
-        """Tab-separated table: lines "n<TAB>value", comments starting #.
-
-        Comment directives a=, b= and alphabet=text|binary override the
-        inferred growth bound and binarization.
-        """
-        pairs = []
-        a = b = None
-        binarize = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                if line.lstrip().startswith("#"):
-                    for tok in line.lstrip("# ").split():
-                        key, eq, val = tok.partition("=")
-                        if not eq:
-                            continue
-                        if key == "a":
-                            a = parse_fraction(val)
-                        elif key == "b":
-                            b = parse_fraction(val)
-                        elif key == "alphabet":
-                            binarize = (val == "text")
+        """Tab-separated "n<TAB>value" lines.  A # line with = in it holds
+        key=value directives: a= and b= override the inferred growth pair,
+        alphabet=text|binary the inferred binarization.  Other # lines are
+        comments.  Every error names its path:line."""
+        table = {}          # key -> (line, value)
+        directives = {}     # a, b and binarize, where a directive line sets them
+        for lineno, line in enumerate(read_input(path).split("\n"), 1):
+            hash_line = line.lstrip().startswith("#")
+            if not line.strip() or hash_line and "=" not in line:
+                continue    # a blank line or a comment
+            try:
+                if hash_line:
+                    tokens = _key_values(line.lstrip().lstrip("# ").split(), ("a", "b", "alphabet"))
+                    if "alphabet" in tokens:
+                        alphabet = tokens.pop("alphabet")
+                        if alphabet not in ("text", "binary"):
+                            raise ValueError(f"alphabet must be text or binary, got {alphabet!r}")
+                        directives["binarize"] = alphabet == "text"
+                    directives.update((key, to_fraction(val)) for key, val in tokens.items())
                     continue
                 n_str, sep, value = line.partition("\t")
                 if not sep:
-                    raise ValueError(f"{path}:{lineno}: expected n<TAB>value")
-                pairs.append((int(n_str), value))
-        return cls.from_table(pairs, a=a, b=b, binarize=binarize, descriptor=path)
+                    raise ValueError("expected n<TAB>value")
+                n = int(n_str)
+                if n < 0:
+                    raise ValueError("table keys must be nonnegative")
+                if n in table:
+                    raise ValueError(f"key {n} repeats line {table[n][0]}")
+                table[n] = lineno, value
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return cls.from_table([(n, v) for n, (_, v) in table.items()], descriptor=path,
+                              **directives)
 
 
 def advice_chunks(f: PrefixFunction) -> Iterator[str]:

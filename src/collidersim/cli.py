@@ -30,7 +30,7 @@ from .harness import embed_parameter, estimate_digits
 from .oracle import (CollisionOracle, ConfigError, OracleConfig, PrecisionMode,
                      QueryRecord, TimeoutReaction, WaitPolicy)
 from .procedures import bisection, grid_sweep, parse_schedule
-from .sources import parse_fraction, parse_mass_spec
+from .sources import parse_mass_spec, read_input
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,8 +49,10 @@ _REACTIONS = {"return": TimeoutReaction.RETURN, "abort": TimeoutReaction.ABORT}
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        data = json.loads(read_input(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     # the keys a run records in its own config block, so that it reads back
@@ -87,19 +89,18 @@ def _resolve_config(args) -> OracleConfig:
         where = (f"{args.config}: seed" if file_cfg.get("seed") is not None
                  else f"${SEED_ENV}")
         raise ValueError(f"{where} must be an integer, got {seed!r}") from None
-    eps_text = pick(args.epsilon, "epsilon", None)
     return OracleConfig(
-        K=parse_fraction(pick(args.K, "K", "1")),
-        N=parse_fraction(pick(args.N, "N", "0")),
+        K=pick(args.K, "K", "1"),
+        N=pick(args.N, "N", "0"),
         mode=_choice(_MODES, pick(args.mode, "mode", args.default_mode)),
-        epsilon=parse_fraction(eps_text) if eps_text is not None else None,
+        epsilon=pick(args.epsilon, "epsilon", None),
         wait_policy=_choice(_WAITS, pick(args.wait, "wait_policy", args.default_wait)),
         timeout_reaction=_choice(_REACTIONS,
                                  pick(args.on_timeout, "timeout_reaction", "return")),
-        c_setup=parse_fraction(pick(args.c_setup, "c_setup", "1")),
+        c_setup=pick(args.c_setup, "c_setup", "1"),
         timing=pick(args.timing, "timing", "protocol"),
-        launch_speed=parse_fraction(pick(None, "u", "1")),
-        flag_distance=parse_fraction(pick(None, "r", "1")),
+        launch_speed=pick(None, "u", "1"),
+        flag_distance=pick(None, "r", "1"),
         seed=seed,
     )
 
@@ -183,7 +184,7 @@ def cmd_estimate(args) -> int:
         raise ValueError("estimate needs --epsilon (the fixed tolerance)")
     s_source = parse_mass_spec(args.mass)
     oracle = CollisionOracle(embed_parameter(s_source, cfg.epsilon), cfg)
-    est = estimate_digits(oracle, args.k, parse_fraction(args.delta))
+    est = estimate_digits(oracle, args.k, args.delta)
     payload = {
         "parameter": s_source.describe(),
         "config": _config_dict(cfg),

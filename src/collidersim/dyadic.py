@@ -66,12 +66,23 @@ class Dyadic:
 
 
 def to_fraction(value) -> Fraction:
-    """Any exact rational (int, Fraction, decimal text) as a Fraction; never a float."""
+    """Any exact rational, text ("1/3", "0.25", "1e-3", "7") too, as a Fraction; never a float."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"{value!r} is a float; give an exact rational "
                         "(int, Fraction or text such as '1/10')")
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            if "/" in text:
+                p, q = text.split("/")
+                return Fraction(int(p), int(q))
+            if "." in text or "e" in text or "E" in text:
+                return Fraction(text)
+            return Fraction(int(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
     return Fraction(value)
 
 

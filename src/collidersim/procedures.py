@@ -21,8 +21,8 @@ from .collision import Outcome
 from .dyadic import fraction_text, to_fraction
 from .oracle import (CollisionOracle, ConfigError, PrecisionMode,
                      TimeoutExceeded, WaitPolicy)
-from .sources import (MassSource, RunLengths, diagonal_run_lengths,
-                      from_run_lengths, parse_fraction, run_length_blocks)
+from .sources import (MassSource, RunLengths, _key_values, diagonal_run_lengths,
+                      from_run_lengths, run_length_blocks)
 
 
 class Schedule:
@@ -121,36 +121,32 @@ def builtin_schedules(K) -> dict:
 
 
 def parse_schedule(text: str, K) -> Schedule:
-    """CLI schedule syntax.
+    """CLI schedule syntax; a stray token fails with the spec quoted.
 
-    exp:k=2        T(n) = K * 2**(n+2)
-    alg:k=2,alpha=4  T(n) = 4 * n * 2**(2n)
-    const:96       constant budget
-    table:4,8,32   explicit budgets by word length, last entry repeated
+    exp:k=2          T(n) = K * 2**(n+2), k defaults to 0
+    alg:k=2,alpha=4  T(n) = 4 * n * 2**(2n), k defaults to 1 and alpha to K
+    const:96         constant budget
+    table:4,8,32     budgets by word length, the last entry repeated
     """
-    if ":" not in text:
-        raise ValueError(f"schedule spec {text!r} needs the form kind:args")
-    kind, args = text.split(":", 1)
-    opts = {}
-    for part in args.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, eq, val = part.partition("=")
-        opts[key if eq else ""] = val if eq else key
-    if kind == "exp":
-        return schedule_exponential(K, int(opts.get("k", opts.get("", 0))))
-    if kind == "alg":
-        order = int(opts.get("k", 1))
-        alpha = parse_fraction(opts["alpha"]) if "alpha" in opts else to_fraction(K)
-        return schedule_algebraic(order, alpha)
-    if kind == "const":
-        if "" not in opts:
-            raise ValueError(f"schedule spec {text!r} needs a budget, e.g. const:96")
-        return schedule_constant(parse_fraction(opts[""]))
-    if kind == "table":
-        return schedule_tabular([parse_fraction(v) for v in args.split(",")])
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    kind, colon, args = text.partition(":")
+    try:
+        if not colon:
+            raise ValueError("needs the form kind:args")
+        if kind == "exp":
+            opts = _key_values(args.split(","), ("k",))
+            return schedule_exponential(K, int(opts.get("k", 0)))
+        if kind == "alg":
+            opts = _key_values(args.split(","), ("k", "alpha"))
+            return schedule_algebraic(int(opts.get("k", 1)), opts.get("alpha", K))
+        if kind == "const":
+            if not args.strip():
+                raise ValueError("needs a budget, e.g. const:96")
+            return schedule_constant(args)
+        if kind == "table":
+            return schedule_tabular(args.split(","))
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    except ValueError as exc:
+        raise ValueError(f"schedule spec {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

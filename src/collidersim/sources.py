@@ -391,19 +391,12 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
 
 
 # ---------------------------------------------------------------------------
-# mass specification parsing (inline CLI syntax and key=value files)
+# input files and mass specification parsing (inline CLI syntax and key=value files)
 
-def parse_fraction(text: str) -> Fraction:
-    text = text.strip()
-    try:
-        if "/" in text:
-            p, q = text.split("/")
-            return Fraction(int(p), int(q))
-        if "." in text or "e" in text or "E" in text:
-            return Fraction(text)
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
+def read_input(path: str) -> str:
+    """Text of a mass file, an advice table or a --config file: the one file read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def parse_mass_spec(spec: str, schedule_budget=None, K=None):
@@ -424,35 +417,31 @@ def parse_mass_spec(spec: str, schedule_budget=None, K=None):
         return load_mass_file(args.strip(), schedule_budget=schedule_budget, K=K)
     tokens = {}   # an unknown kind has none, and _mass_from_tokens refuses it
     if kind == "rational":
-        f = parse_fraction(args)
+        f = to_fraction(args)
         tokens = {"p": f.numerator, "q": f.denominator}
     elif kind == "dyadic":
         tokens = {"value": args}
     elif kind == "pattern":
         body, _, option = args.partition(";")
-        tokens = _key_values([option])
+        tokens = _key_values([option], ("u", "tail"))
         if "u" in tokens:   # the runs are the part before ';'
             raise ValueError(f"token {option.strip()!r} repeats the run list")
         tokens["u"] = body
     elif kind == "advice":
         tokens = {"file": args.strip()}
     elif kind == "adversarial":
-        tokens = _key_values(args.split(","))
+        tokens = _key_values(args.split(","), ("u1",))
     return _mass_from_tokens(kind, tokens, schedule_budget, K)
 
 
 def load_mass_file(path: str, schedule_budget=None, K=None):
     """Specification file: one kind=... line of key=value tokens, # comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_input(path).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            tokens = _key_values(line.split())
-            if "kind" not in tokens:
-                raise ValueError("missing kind=")
+            tokens = _key_values(line.split(), "kind p q value num exp u tail file u1".split())
             return _mass_from_tokens(tokens.pop("kind"), tokens, schedule_budget, K)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -461,9 +450,9 @@ def load_mass_file(path: str, schedule_budget=None, K=None):
     raise ValueError(f"{path}: no mass specification found")
 
 
-def _key_values(parts) -> dict:
-    """Stripped key=value parts as a dict: blank parts are skipped and a
-    repeated key keeps its last value."""
+def _key_values(parts, keys) -> dict:
+    """Stripped key=value parts as a dict, refusing a key not in keys: blank
+    parts are skipped and a repeated key keeps its last value."""
     tokens = {}
     for part in parts:
         part = part.strip()
@@ -472,6 +461,9 @@ def _key_values(parts) -> dict:
             if not eq:
                 raise ValueError(f"token {part!r} is not key=value")
             tokens[key.strip()] = val.strip()
+    unused = sorted(set(tokens).difference(keys))
+    if unused:
+        raise ValueError(f"unused tokens {unused}")
     return tokens
 
 
@@ -482,7 +474,7 @@ def _mass_from_tokens(kind: str, tokens: dict, schedule_budget, K):
         src = from_rational(int(tokens.pop("p")), int(tokens.pop("q")))
     elif kind == "dyadic":
         if "value" in tokens:
-            src = from_dyadic(parse_fraction(tokens.pop("value")))
+            src = from_dyadic(to_fraction(tokens.pop("value")))
         else:
             src = from_dyadic(Dyadic(int(tokens.pop("num")), int(tokens.pop("exp"))))
     elif kind == "pattern":

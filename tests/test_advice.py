@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from collidersim.advice import (AdviceCorruptionError, GrowthBoundError,
@@ -255,3 +255,45 @@ class TestTableFiles:
         path.write_text("# alphabet=text\n0\t\n1\thi\n", encoding="utf-8")
         f = PrefixFunction.from_table_file(str(path))
         assert f(1) == binarize_8bit("hi")
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_file_matches_from_table(self, data, tmp_path):
+        alphabet = data.draw(st.sampled_from(["text", "binary"]))
+        chars = "01" if alphabet == "binary" else "01ab \t#=é"
+        value, pairs = "", []
+        for n in sorted(data.draw(st.sets(st.integers(0, 1500), max_size=6))):
+            value += data.draw(st.text(chars, max_size=3))
+            pairs.append((n, value))
+        a = data.draw(st.fractions(min_value=0, max_value=8))
+        b = data.draw(st.fractions(min_value=0, max_value=40))
+        directives = [f"a={a}", f"b={b}", f"alphabet={alphabet}"]
+        if data.draw(st.booleans()):
+            directives = [" ".join(directives)]
+        comments = data.draw(st.lists(st.text("ab #\t", max_size=6), max_size=3))
+        lines = data.draw(st.permutations(
+            [f"# {d}" for d in directives] + [f"  #{c}" for c in comments]
+            + [f"{n}\t{v}" for n, v in pairs]))
+        path = tmp_path / "advice.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        f = PrefixFunction.from_table_file(str(path))
+        want = PrefixFunction.from_table(pairs, a, b, binarize=alphabet == "text")
+        assert (f.a, f.b) == (want.a, want.b)
+        assert [f(n) for n in range(1025)] == [want(n) for n in range(1025)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("# alphabet=txt\n0\t\n1\t01\n", "1: alphabet must be text or binary, got 'txt'"),
+        ("# this table has b=2 in prose\n0\t\n1\t1\n", "1: token 'this' is not key=value"),
+        ("# a=1 bogus c=3\n0\t\n", "1: token 'bogus' is not key=value"),
+        ("# a=1 c=3\n0\t\n", "1: unused tokens ['c']"),
+        ("0\t\n1\t1\n1\t10\n", "3: key 1 repeats line 2"),
+        ("0\t\nx\t1\n", "2: invalid literal for int() with base 10: 'x'"),
+        ("# b=4\n-1\t1\n", "2: table keys must be nonnegative"),
+        ("0\t\n1 1\n", "2: expected n<TAB>value"),
+    ])
+    def test_misread_lines_are_refused_with_their_place(self, text, message, tmp_path):
+        path = tmp_path / "advice.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            PrefixFunction.from_table_file(str(path))
+        assert str(exc.value) == f"{path}:{message}"

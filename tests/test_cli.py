@@ -313,6 +313,14 @@ class TestConfigFile:
             report = json.loads(read(tmp_path / str(n) / "report.json"))
             assert report["config"]["seed"] == 5 + n
 
+    def test_config_that_is_not_json_names_its_path(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"K": "2",}', encoding="utf-8")
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: Expecting property name")
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")

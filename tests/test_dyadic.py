@@ -138,6 +138,16 @@ class TestNumericHelpers:
         assert fraction_text(Fraction(1, 8)) == "1/8"
         assert fraction_text(0) == "0"
 
+    def test_to_fraction_reads_text(self):
+        assert to_fraction("1/3") == Fraction(1, 3)
+        assert to_fraction(" -2/-6 ") == Fraction(1, 3)
+        assert to_fraction("0.25") == Fraction(1, 4)
+        assert to_fraction("1e-3") == Fraction(1, 1000)
+        assert to_fraction("7") == 7
+        for text in ["x/y", "1/0", "", "1/2/3", "inf"]:
+            with pytest.raises(ValueError, match=re.escape(f"cannot parse rational {text!r}")):
+                to_fraction(text)
+
     @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, float("inf")])
     def test_to_fraction_refuses_floats(self, value):
         # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10

@@ -63,6 +63,45 @@ class TestSchedules:
         with pytest.raises(ValueError):
             parse_schedule("warp:9", 1)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("alg:k=2,alfa=4", "unused tokens ['alfa']"),
+        ("exp:k=2,kk=3", "unused tokens ['kk']"),
+        ("exp:k=2,5", "token '5' is not key=value"),
+        ("exp:5", "token '5' is not key=value"),
+        ("const:96,k=1", "cannot parse rational '96,k=1'"),
+        ("warp:9", "unknown schedule kind 'warp'"),
+        ("exp", "needs the form kind:args"),
+    ])
+    def test_stray_tokens_are_refused_with_the_spec_quoted(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            parse_schedule(spec, 4)
+        assert str(exc.value).startswith(f"schedule spec {spec!r}: {message}")
+
+    @given(st.data())
+    def test_parse_schedule_gives_the_constructors_budgets(self, data):
+        K = data.draw(st.fractions(min_value=Fraction(1, 16), max_value=16))
+        budget = st.fractions(min_value=Fraction(1, 64), max_value=64)
+        sep = data.draw(st.sampled_from([",", ", ", " , "]))
+        kind = data.draw(st.sampled_from(["exp", "alg", "const", "table"]))
+        if kind == "exp":
+            k = data.draw(st.none() | st.integers(-4, 8))
+            text = "exp:" if k is None else f"exp:k={k}"
+            want = schedule_exponential(K, k or 0)
+        elif kind == "alg":
+            k = data.draw(st.none() | st.integers(1, 3))
+            alpha = data.draw(st.none() | budget)
+            text = "alg:" + sep.join([f"k={k}"] * (k is not None)
+                                     + [f"alpha = {alpha}"] * (alpha is not None))
+            want = schedule_algebraic(k or 1, K if alpha is None else alpha)
+        elif kind == "const":
+            value = data.draw(budget)
+            text, want = f"const:{value}", schedule_constant(value)
+        else:
+            values = data.draw(st.lists(budget, min_size=1, max_size=5))
+            text, want = "table:" + sep.join(map(str, values)), schedule_tabular(values)
+        T = parse_schedule(text, K)
+        assert [T(n) for n in range(1, 13)] == [want(n) for n in range(1, 13)]
+
     def test_negative_exponent_halves_the_law_constant(self):
         # T(n) = K 2**(n + shift) is K/2 at n + shift = -1, not a negative shift
         T = parse_schedule("exp:k=-2", 1)

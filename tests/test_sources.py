@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,8 +12,8 @@ from collidersim.sources import (RunLengths, adversarial_mass,
                                  affine_of_source, custom,
                                  diagonal_run_lengths, distance_bracket,
                                  from_dyadic, from_rational, from_run_lengths,
-                                 load_mass_file, parse_fraction,
-                                 parse_mass_spec, refine, run_length_blocks)
+                                 load_mass_file, parse_mass_spec, refine,
+                                 run_length_blocks)
 
 
 def digits_of(src, depth):
@@ -275,13 +277,6 @@ class TestAffineImages:
 
 
 class TestParsing:
-    def test_parse_fraction(self):
-        assert parse_fraction("1/3") == Fraction(1, 3)
-        assert parse_fraction("0.25") == Fraction(1, 4)
-        assert parse_fraction("7") == 7
-        with pytest.raises(ValueError):
-            parse_fraction("x/y")
-
     def test_inline_kinds(self):
         assert parse_mass_spec("rational:1/3").exact_value == Fraction(1, 3)
         assert parse_mass_spec("dyadic:5/16").exact_value == Fraction(5, 16)
@@ -360,3 +355,44 @@ class TestParsing:
         with pytest.raises(ValueError) as exc:
             parse_mass_spec(spec, schedule_budget=lambda n: Fraction(1 << n), K=1)
         assert str(exc.value) == message
+
+
+class TestOneReader:
+    """Every input text goes through one file reader and one key=value
+    reader; a hand-rolled one elsewhere in the package fails here."""
+
+    PACKAGE = Path(__file__).resolve().parent.parent / "src" / "collidersim"
+
+    def calls(self, wanted):
+        """(module, enclosing function) of every call that wanted(call) picks."""
+        found = []
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = [(node.name, node) for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and wanted(node):
+                    # the innermost function whose body holds the call
+                    inner = [name for name, f in scopes
+                             if f.lineno <= node.lineno <= f.end_lineno]
+                    found.append((path.stem, inner[-1] if inner else None))
+        return found
+
+    def test_only_read_input_opens_a_file_to_read(self):
+        def read_open(call):
+            if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+                return False
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            if mode is None:
+                return True
+            return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax"))
+
+        assert self.calls(read_open) == [("sources", "read_input")]
+
+    def test_only_the_key_value_reader_splits_at_equals(self):
+        def split_at_equals(call):
+            return (isinstance(call.func, ast.Attribute) and call.func.attr == "partition"
+                    and any(isinstance(a, ast.Constant) and a.value == "=" for a in call.args))
+
+        assert self.calls(split_at_equals) == [("sources", "_key_values")]
