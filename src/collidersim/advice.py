@@ -103,14 +103,19 @@ class PrefixFunction:
     @classmethod
     def from_table(cls, pairs, a=0, b=None, binarize: Optional[bool] = None,
                    descriptor: str = "table") -> "PrefixFunction":
-        """Step function from (n, value) pairs, constant past the last key.
+        """Step function from (n, value) pairs or an n -> value dict, constant
+        past the last key.  A key may appear once.
 
         f(n) is the value at the largest key <= n (empty before the first
         key).  Values with characters outside 0/1 are byte-expanded, all
         of them, so mixed tables stay consistent.
         """
-        items = sorted(dict(pairs).items())
-        if any(n < 0 for n, _ in items):
+        items = sorted(pairs.items() if isinstance(pairs, dict) else pairs, key=lambda kv: kv[0])
+        keys = [n for n, _ in items]
+        repeated = [n for n, k in zip(keys, keys[1:]) if n == k]
+        if repeated:
+            raise ValueError(f"key {repeated[0]} repeats")
+        if keys and keys[0] < 0:
             raise ValueError("table keys must be nonnegative")
         values = [str(v) for _, v in items]
         if binarize is None:
@@ -120,7 +125,6 @@ class PrefixFunction:
         for prev, cur in zip(values, values[1:]):
             if not cur.startswith(prev):
                 raise ValueError("table values must extend one another in key order")
-        keys = [n for n, _ in items]
 
         def fn(n: int) -> str:
             i = bisect.bisect_right(keys, n)
@@ -135,10 +139,9 @@ class PrefixFunction:
     def from_table_file(cls, path: str) -> "PrefixFunction":
         """Tab-separated "n<TAB>value" lines.  A # line with = in it holds
         key=value directives: a= and b= override the inferred growth pair,
-        alphabet=text|binary the inferred binarization.  Other # lines are
-        comments.  Every error names its path:line."""
-        table = {}          # key -> (line, value)
-        directives = {}     # a, b and binarize, where a directive line sets them
+        alphabet=text|binary the inferred binarization, each on one line at
+        most.  Other # lines are comments.  Every error names its path:line."""
+        table = {}          # key n, or directive a, b or alphabet -> (line, value)
         for lineno, line in enumerate(read_input(path).split("\n"), 1):
             hash_line = line.lstrip().startswith("#")
             if not line.strip() or hash_line and "=" not in line:
@@ -146,26 +149,28 @@ class PrefixFunction:
             try:
                 if hash_line:
                     tokens = _key_values(line.lstrip().lstrip("# ").split(), ("a", "b", "alphabet"))
-                    if "alphabet" in tokens:
-                        alphabet = tokens.pop("alphabet")
-                        if alphabet not in ("text", "binary"):
-                            raise ValueError(f"alphabet must be text or binary, got {alphabet!r}")
-                        directives["binarize"] = alphabet == "text"
-                    directives.update((key, to_fraction(val)) for key, val in tokens.items())
-                    continue
-                n_str, sep, value = line.partition("\t")
-                if not sep:
-                    raise ValueError("expected n<TAB>value")
-                n = int(n_str)
-                if n < 0:
-                    raise ValueError("table keys must be nonnegative")
-                if n in table:
-                    raise ValueError(f"key {n} repeats line {table[n][0]}")
-                table[n] = lineno, value
+                    alphabet = tokens.get("alphabet", "text")
+                    if alphabet not in ("text", "binary"):
+                        raise ValueError(f"alphabet must be text or binary, got {alphabet!r}")
+                    entries = [(key, val == "text" if key == "alphabet" else to_fraction(val))
+                               for key, val in tokens.items()]
+                else:
+                    n_str, sep, value = line.partition("\t")
+                    if not sep:
+                        raise ValueError("expected n<TAB>value")
+                    n = int(n_str)
+                    if n < 0:
+                        raise ValueError("table keys must be nonnegative")
+                    entries = [(n, value)]
+                for key, value in entries:
+                    if key in table:
+                        raise ValueError(f"key {key!r} repeats line {table[key][0]}")
+                    table[key] = lineno, value
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+        directives = {key: table.pop(key)[1] for key in ("a", "b", "alphabet") if key in table}
         return cls.from_table([(n, v) for n, (_, v) in table.items()], descriptor=path,
-                              **directives)
+                              binarize=directives.pop("alphabet", None), **directives)
 
 
 def advice_chunks(f: PrefixFunction) -> Iterator[str]:

@@ -93,7 +93,10 @@ class TimeoutExceeded(RuntimeError):
 class OracleConfig:
     """Apparatus parameters shared by every query of a run.
 
-    K: arrival-time constant; an answered query arrives at K/|m*-target|.
+    K, timing, launch_speed, flag_distance: an answered query arrives at
+       (alpha + beta (m* + target)) / |m* - target|, with (alpha, beta) =
+       (K, 0) under "protocol" timing and (0, r/u) under "kinematic" timing,
+       which reads r = flag_distance and u = launch_speed off the geometry.
     N: jitter amplitude; each arrival is shifted by a uniform draw from
        [-N, N].  N = 0 switches jitter off entirely.
     mode/epsilon: manufacturing precision.  FIXED mode requires epsilon
@@ -105,10 +108,6 @@ class OracleConfig:
     c_setup: preparation cost per word digit (longer words take longer
        to set up), billed separately from the waiting time so budget
        arithmetic stays exact.
-    timing: "protocol" uses the K/gap law; "kinematic" derives arrival
-       times from the actual collision geometry (launch_speed,
-       flag_distance), where the constant in front of 1/gap becomes the
-       mass-dependent (m* + target) * flag_distance / launch_speed.
     probe_depth_cap: digit horizon when certifying against a digit
        stream; a comparison that cannot be settled within the horizon is
        reported as a timeout, mirroring a detector of finite resolution.
@@ -263,8 +262,13 @@ class CollisionOracle:
 
     def __init__(self, source: MassSource, config: Optional[OracleConfig] = None):
         self.source = source
-        self.config = config or OracleConfig()
+        self.config = cfg = config or OracleConfig()
         self.transcript: list = []
+        # the one place the timing is read: alpha + beta (m* + mu) = (an + bn (m* + mu))/ld
+        alpha, beta = ((cfg.K, _ZERO) if cfg.timing == "protocol"
+                       else (_ZERO, cfg.flag_distance / cfg.launch_speed))
+        self._law_terms = (alpha.numerator * beta.denominator, beta.numerator * alpha.denominator,
+                           alpha.denominator * beta.denominator)
 
     # -- draws ------------------------------------------------------------
 
@@ -346,11 +350,9 @@ class CollisionOracle:
         a, b = 0, n + 1
         if (exact is not None and cfg.N == 0
                 and cfg.mode is _ERROR_FREE and cfg.wait_policy is _FULL_BUDGET):
-            s, rule = self.cutoffs(budget.numerator, budget.denominator)
-            lo, _, _, hi = rule(exact.numerator, exact.numerator, 0, exact.denominator)
-            den = s * exact.denominator
-            first = min(max(-((-lo << r) // den), 0), n + 1)
-            end = n + 1 if hi is None else min(max((hi << r) // den + 1, 0), n + 1)
+            (lo, lo_d), hi = self._exact_cutoffs(budget)
+            first = min(max(-((-lo << r) // lo_d), 0), n + 1)
+            end = n + 1 if hi is None else min(max((hi[0] << r) // hi[1] + 1, 0), n + 1)
             a, b = max(first - 1, 0), min(end, n) + 1
         words = ["0"]
         for _ in range(r):
@@ -374,6 +376,14 @@ class CollisionOracle:
             for p in [*range(a), *range(b, n + 1)]:
                 transcript[start + p].hidden = {"m_star": Fraction(p, n), "jitter": _ZERO}
         return transcript[start:]
+
+    def _exact_cutoffs(self, budget: Fraction) -> tuple:
+        """Cutoffs (lo, hi) of the exact target's zero-width cell at deadline
+        budget, as (n, d) pairs, d > 0; hi is None if no mass answers greater."""
+        un, ud = self.source.exact_value.as_integer_ratio()
+        s_lo, s_hi, rule = self.cutoffs(budget.numerator, budget.denominator)
+        lo, _, _, hi = rule(un, un, 0, ud)
+        return (lo, s_lo * ud), None if hi is None else (hi, s_hi * ud)
 
     def _resolve(self, word: str, budget, epsilon):
         """Checked (z, budget, epsilon) of a query, shared by both query kinds.
@@ -426,20 +436,21 @@ class CollisionOracle:
         if tn <= 0:
             return _TIMEOUT, None, None
         mn, md = m_star
-        _, rule = self.cutoffs(tn, td)
+        rule = self.cutoffs(tn, td)[2]
         exact = self.source.exact_value
         if exact is not None:
-            # the zero-width cell and m* over ud md: lo_t = lo and hi_t = hi
+            # the zero-width cell and m* over d = ud md: lo_t = lo and hi_t = hi
             un, ud = exact.numerator, exact.denominator
-            lo, _, _, hi = rule(un * md, un * md, mn * ud, ud * md)
+            m, u, d = mn * ud, un * md, md * ud
+            lo, _, _, hi = rule(u, u, m, d)
             side = _LESSER if lo > 0 else _GREATER if hi is not None and hi < 0 else _TIMEOUT
             if side is _TIMEOUT or not need_arrival:
                 return side, None, None
-            # law / gap, with gap = |m* - mu| = |mn ud - un md| / (md ud)
-            ln, ld = self._law(mn, md, un, ud)
-            return side, Fraction(ln * md * ud, ld * abs(mn * ud - un * md)) + jitter, None
+            # law / gap, with gap = |m* - mu| = |m - u| / d
+            ln, ld = self._law(m, u, d)
+            return side, Fraction(ln * d, ld * abs(m - u)) + jitter, None
         prefix_int = self.source.prefix_int
-        fn, fd = self._law(mn, md, 0, 1)
+        fn, fd = self._law(mn, 0, md)
         start = max(8, (tn * fd // (td * fn)).bit_length() + 2) if fn else 8
 
         def probe(depth: int):
@@ -461,50 +472,37 @@ class CollisionOracle:
         return outcome, arrival, depth
 
     def cutoffs(self, tn: int, td: int):
-        """The mass-cutoff rule at a positive deadline T = tn/td, as (s, rule)
-        with s > 0: rule(pn, qn, m, d) gives the cutoffs (lo, lo_t, hi_t, hi)
-        of the target cell [pn, qn]/d (0 <= pn <= qn) less the mass m/d, as
-        numerators over s d; m = 0 gives the cutoffs.  For every target in
-        the cell a mass below lo answers lesser, one above hi greater, and
-        one in [lo_t, hi_t] times out; any other needs a narrower cell.  An
+        """The mass-cutoff rule at a positive deadline T = tn/td, as
+        (s_lo, s_hi, rule): rule(pn, qn, m, d) gives the cutoffs
+        (lo, lo_t, hi_t, hi) of the target cell [pn, qn]/d (0 <= pn <= qn)
+        less the mass m/d, lo and lo_t as numerators over s_lo d, hi_t and
+        hi over s_hi d; m = 0 gives the cutoffs.  For every target in the
+        cell a mass below lo answers lesser, one above hi greater, and one
+        in [lo_t, hi_t] times out; any other needs a narrower cell.  An
         exact mu = un/ud is the zero-width cell (un, un, ud).
 
-        Protocol timing gives pn/d - K/T, qn/d - K/T, pn/d + K/T and
-        qn/d + K/T.  Kinematic timing, c (m* + mu) < T |m* - mu| with
-        c = r/u, reads the law at the cell's far end: (T pn - c qn) and
-        (T qn - c pn) over d (T + c), then pn (T + c) and qn (T + c) over
-        d (T - c), or None when T <= c, as then no mass answers greater."""
-        if self.config.timing == "protocol":
-            K = self.config.K
-            a, b = tn * K.denominator, K.numerator * td    # T and K over td K.d
-
-            def rule(pn: int, qn: int, m: int, d: int):
-                # pn - m and qn - m are small when the cell is near the mass
-                x, y, w = a * (pn - m), a * (qn - m), b * d
-                return x - w, y - w, x + w, y + w
-            return a, rule
-        cn, cd = self._law(0, 1, 1, 1)
-        a, b = tn * cd, cn * td    # T and c over td cd
-        plus, minus = a + b, a - b
-        if minus <= 0:
-            return plus, lambda pn, qn, m, d: (a * (pn - m) - b * (qn + m),
-                                               a * (qn - m) - b * (pn + m), None, None)
+        A mass answers when the law alpha + beta (m* + mu) is below
+        T |m* - mu|.  Read at the cell's far end, with u = beta (qn + m) +
+        alpha d and v = beta (pn + m) + alpha d, the cutoffs are T (pn - m) - u
+        and T (qn - m) - v over s_lo = T + beta, then T (pn - m) + v and
+        T (qn - m) + u over s_hi = T - beta, or None when T <= beta."""
+        an, bn, ld = self._law_terms
+        t, a, b = tn * ld, an * td, bn * td    # T, alpha and beta over td ld
 
         def rule(pn: int, qn: int, m: int, d: int):
-            return (minus * (a * (pn - m) - b * (qn + m)), minus * (a * (qn - m) - b * (pn + m)),
-                    plus * (plus * pn - minus * m), plus * (plus * qn - minus * m))
-        return plus * minus, rule
+            # pn - m and qn - m are small when the cell is near the mass
+            x, y, w = t * (pn - m), t * (qn - m), a * d
+            u, v = b * (qn + m) + w, b * (pn + m) + w
+            return x - u, y - v, x + v, y + u
+        if t <= b:
+            return t + b, None, lambda pn, qn, m, d: (*rule(pn, qn, m, d)[:2], None, None)
+        return t + b, t - b, rule
 
-    def _law(self, mn: int, md: int, un: int, ud: int) -> tuple[int, int]:
-        """Arrival time times |m* - mu| as an unreduced n/d, for m* = mn/md
-        and mu = un/ud: K under protocol timing, and (r/u) * (m* + mu) under
-        kinematic timing, which alone reads mu.  law(0, 1) is the constant c."""
-        cfg = self.config
-        if cfg.timing == "protocol":
-            return cfg.K.numerator, cfg.K.denominator
-        r, u = cfg.flag_distance, cfg.launch_speed
-        return (r.numerator * u.denominator * (mn * ud + un * md),
-                r.denominator * u.numerator * md * ud)
+    def _law(self, mn: int, un: int, d: int) -> tuple[int, int]:
+        """Arrival time times |m* - mu|, the law alpha + beta (m* + mu), for
+        m* = mn/d and mu = un/d, as the unreduced pair (n, ld d)."""
+        an, bn, ld = self._law_terms
+        return an * d + bn * (mn + un), ld * d
 
     _CLOCK_BITS = 48
 
@@ -516,9 +514,9 @@ class CollisionOracle:
         narrowed until it fits inside one clock tick, then snapped to
         the tick grid.  Deterministic, so replays reproduce it exactly.
 
-        At depth d every arrival lies in [c x_lo / b, c x_hi / a], with
-        a <= D |m* - mu| <= b over D = md 2**d and x = D (protocol) or
-        D (m* + mu) over the prefix cell (kinematic).  Past depth_hint the
+        At depth d, with a <= D |m* - mu| <= b over D = md 2**d and
+        L = D law(m*, p/2**d) at the low end of the prefix cell, every
+        arrival lies in [L / b, (L + beta md) / a].  Past depth_hint the
         certified gap a only grows, and the enclosure at depth d is at most
         4 law(m*, 1) 2**-d / a**2 wide, so every
         d >= need = bits_above(4 law(m*, 1) 2**48 / a**2) fits it inside a
@@ -527,21 +525,18 @@ class CollisionOracle:
         """
         bits = self._CLOCK_BITS
         mn, md = m_star
-        cn, cd = self._law(0, 1, 1, 1)
         a, _, _ = distance_bracket(self.source, Fraction(mn, md), depth_hint)
-        ln, ld = self._law(mn, md, 1, 1)
-        need = ((ln * a.denominator ** 2 << bits + 2) // (ld * a.numerator ** 2)).bit_length()
-        prefix_int, protocol = self.source.prefix_int, self.config.timing == "protocol"
+        fn, fd = self._law(mn, md, md)
+        need = ((fn * a.denominator ** 2 << bits + 2) // (fd * a.numerator ** 2)).bit_length()
+        prefix_int, law, (_, bn, ld) = self.source.prefix_int, self._law, self._law_terms
 
         def settle(depth: int):
-            # latest - earliest = c (x_hi b - x_lo a) / (a b) under one tick,
-            # with b - a = md: x_hi b - x_lo a is md x_lo, or md (x_lo + b)
-            # when x_hi = x_lo + md; a = 0 leaves the right side 0
+            # latest - earliest = md (L + beta b) / (a b) with L = ln/ld; a = 0 never settles
             p = prefix_int(depth)
             _, a, b = prefix_bracket(p, mn, md, depth)
-            x_lo = md << depth if protocol else (mn << depth) + p * md
-            if (cn * md * (x_lo if protocol else x_lo + b)) << bits < cd * a * b:
-                return (cn * x_lo << bits) // (cd * b)
+            ln, _ = law(mn << depth, p * md, md << depth)
+            if md * (ln + bn * b) << bits < ld * a * b:
+                return (ln << bits) // (ld * b)
             return None
 
         horizon = max(need, 4 * self.config.probe_depth_cap)
@@ -569,21 +564,17 @@ class CollisionOracle:
             raise ConfigError("batched queries require WaitPolicy.FULL_BUDGET")
         z, budget, epsilon = self._resolve(word, budget, epsilon)
         zf, index = Fraction(*z), len(self.transcript)
-        exact = self.source.exact_value
         usable_kernel = (
             epsilon is not None
             and cfg.N == 0
-            and exact is not None
+            and self.source.exact_value is not None
             and zf - epsilon >= 0
             and zf + epsilon <= 1
         )
         if usable_kernel:
             from . import kernels
-            s, rule = self.cutoffs(budget.numerator, budget.denominator)
-            lo, _, _, hi = rule(exact.numerator, exact.numerator, 0, exact.denominator)
-            den = s * exact.denominator
             n_less, n_great = kernels.count_outcomes(
-                cfg.seed, index, zeta, zf, epsilon, (lo, den), hi if hi is None else (hi, den))
+                cfg.seed, index, zeta, zf, epsilon, *self._exact_cutoffs(budget))
             engine = kernels.engine_name()
         else:
             n_less = n_great = 0

@@ -451,16 +451,18 @@ def load_mass_file(path: str, schedule_budget=None, K=None):
 
 
 def _key_values(parts, keys) -> dict:
-    """Stripped key=value parts as a dict, refusing a key not in keys: blank
-    parts are skipped and a repeated key keeps its last value."""
+    """Stripped key=value parts as a dict, refusing a key not in keys and a
+    repeated key: blank parts are skipped."""
     tokens = {}
     for part in parts:
         part = part.strip()
         if part:
-            key, eq, val = part.partition("=")
+            key, eq, val = (side.strip() for side in part.partition("="))
             if not eq:
                 raise ValueError(f"token {part!r} is not key=value")
-            tokens[key.strip()] = val.strip()
+            if key in tokens:
+                raise ValueError(f"key {key!r} repeats")
+            tokens[key] = val
     unused = sorted(set(tokens).difference(keys))
     if unused:
         raise ValueError(f"unused tokens {unused}")

@@ -47,6 +47,10 @@ class TestPrefixFunction:
         assert f(4) == "10"
         assert f(100) == "10"  # table cap holds beyond the last key
 
+    def test_repeated_key_is_refused(self):
+        with pytest.raises(ValueError, match="^key 1 repeats$"):
+            PrefixFunction.from_table([(0, ""), (1, "1"), (1, "10")])
+
     def test_prefix_property_enforced(self):
         with pytest.raises(ValueError):
             PrefixFunction.from_table([(0, "1"), (2, "0")])
@@ -286,6 +290,7 @@ class TestTableFiles:
         ("# this table has b=2 in prose\n0\t\n1\t1\n", "1: token 'this' is not key=value"),
         ("# a=1 bogus c=3\n0\t\n", "1: token 'bogus' is not key=value"),
         ("# a=1 c=3\n0\t\n", "1: unused tokens ['c']"),
+        ("# b=2\n0\t\n# a=1 b=9\n", "3: key 'b' repeats line 1"),
         ("0\t\n1\t1\n1\t10\n", "3: key 1 repeats line 2"),
         ("0\t\nx\t1\n", "2: invalid literal for int() with base 10: 'x'"),
         ("# b=4\n-1\t1\n", "2: table keys must be nonnegative"),

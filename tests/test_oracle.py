@@ -1,6 +1,8 @@
+import ast
 import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,6 +23,25 @@ import reference_model
 def third_as_stream():
     """1/3 presented as a digit stream with no exact value attached."""
     return from_run_lengths(RunLengths.from_list([0], tail="constant:1"))
+
+
+class TestOneArrivalLaw:
+    """The timing is read once, to set the law alpha + beta (m* + mu); the
+    cutoff rule, the law and the clock read only (alpha, beta), so a branch
+    on the timing elsewhere in the oracle fails here."""
+
+    ORACLE = Path(__file__).resolve().parent.parent / "src" / "collidersim" / "oracle.py"
+
+    def test_timing_is_read_in_one_place(self):
+        tree = ast.parse(self.ORACLE.read_text(encoding="utf-8"))
+        scopes = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, ast.FunctionDef)]
+        scopes += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        readers = {next((name for name, f in scopes if f.lineno <= node.lineno <= f.end_lineno),
+                        None)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "timing"}
+        assert readers == {"OracleConfig.__post_init__", "CollisionOracle.__init__"}
 
 
 class TestConfig:
@@ -690,9 +711,10 @@ class TestCellCutoffsMatchArrivalBounds:
         """The verdict of the cell's cutoffs on m, read twice: m against the
         cutoffs themselves, and the signs of the cutoffs less m, computed
         over the common denominator md 2**depth as the decision does."""
-        s, rule = oracle.cutoffs(T.numerator, T.denominator)
+        s_lo, s_hi, rule = oracle.cutoffs(T.numerator, T.denominator)
         lo, lo_t, hi_t, hi = (None if c is None else Fraction(c, s << depth)
-                              for c in rule(p, p + 1, 0, 1 << depth))
+                              for c, s in zip(rule(p, p + 1, 0, 1 << depth),
+                                              (s_lo, s_lo, s_hi, s_hi)))
         verdicts = {"lesser": m < lo, "greater": hi is not None and m > hi,
                     "timeout": lo_t <= m and (hi_t is None or m <= hi_t)}
         mn, md = m.numerator, m.denominator

@@ -66,6 +66,7 @@ class TestSchedules:
     @pytest.mark.parametrize("spec, message", [
         ("alg:k=2,alfa=4", "unused tokens ['alfa']"),
         ("exp:k=2,kk=3", "unused tokens ['kk']"),
+        ("exp:k=2,k=5", "key 'k' repeats"),
         ("exp:k=2,5", "token '5' is not key=value"),
         ("exp:5", "token '5' is not key=value"),
         ("const:96,k=1", "cannot parse rational '96,k=1'"),

@@ -349,6 +349,7 @@ class TestParsing:
         ("pattern:3,2;cycle", "token 'cycle' is not key=value"),
         ("pattern:3;u=4", "token 'u=4' repeats the run list"),
         ("adversarial:u1=4,x=1", "unused tokens ['x']"),
+        ("adversarial:u1=3,u1=6", "key 'u1' repeats"),
         ("adversarial:u1", "token 'u1' is not key=value"),
     ])
     def test_bad_inline_options_fail_in_the_file_words(self, spec, message):
