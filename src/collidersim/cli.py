@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .advice import PrefixFunction, decode_advice, encoded_mass, read_bound
@@ -46,6 +47,22 @@ _MODES = {
 _WAITS = {"interrupt": WaitPolicy.INTERRUPT, "full": WaitPolicy.FULL_BUDGET}
 _JSONL = json.JSONEncoder(sort_keys=True)    # json.dumps would build one per line
 _REACTIONS = {"return": TimeoutReaction.RETURN, "abort": TimeoutReaction.ABORT}
+# Each key of a run's config block, once: the flag that sets it (None: the
+# file alone), its OracleConfig field, and an enum field's choice table.
+# seed leads, so a bad seed is reported before a bad choice.
+_KEYS = {
+    "seed": ("seed", "seed", None),
+    "K": ("K", "K", None),
+    "N": ("N", "N", None),
+    "u": (None, "launch_speed", None),
+    "r": (None, "flag_distance", None),
+    "mode": ("mode", "mode", _MODES),
+    "epsilon": ("epsilon", "epsilon", None),
+    "wait_policy": ("wait", "wait_policy", _WAITS),
+    "timeout_reaction": ("on_timeout", "timeout_reaction", _REACTIONS),
+    "c_setup": ("c_setup", "c_setup", None),
+    "timing": ("timing", "timing", None),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -55,8 +72,7 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    # the keys a run records in its own config block, so that it reads back
-    unknown = sorted(set(data) - set(_config_dict(OracleConfig())))
+    unknown = sorted(set(data) - set(_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {', '.join(map(repr, unknown))}")
     return data
@@ -72,53 +88,37 @@ def _choice(table: dict, text: str):
 
 
 def _resolve_config(args) -> OracleConfig:
-    """Flags first, then the --config file, then the command's own defaults."""
+    """Each setting from its flag, else the --config file, else the command's
+    --mode/--wait default or $CME_SEED; OracleConfig defaults the rest."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if file_cfg.get(key) is not None:
-            return str(file_cfg[key])
-        return default
-
-    seed = pick(args.seed, "seed", os.environ.get(SEED_ENV, "0"))
-    try:
-        seed = int(seed)
-    except ValueError:
-        where = (f"{args.config}: seed" if file_cfg.get("seed") is not None
-                 else f"${SEED_ENV}")
-        raise ValueError(f"{where} must be an integer, got {seed!r}") from None
-    return OracleConfig(
-        K=pick(args.K, "K", "1"),
-        N=pick(args.N, "N", "0"),
-        mode=_choice(_MODES, pick(args.mode, "mode", args.default_mode)),
-        epsilon=pick(args.epsilon, "epsilon", None),
-        wait_policy=_choice(_WAITS, pick(args.wait, "wait_policy", args.default_wait)),
-        timeout_reaction=_choice(_REACTIONS,
-                                 pick(args.on_timeout, "timeout_reaction", "return")),
-        c_setup=pick(args.c_setup, "c_setup", "1"),
-        timing=pick(args.timing, "timing", "protocol"),
-        launch_speed=pick(None, "u", "1"),
-        flag_distance=pick(None, "r", "1"),
-        seed=seed,
-    )
+    fallback = {"mode": args.default_mode, "wait_policy": args.default_wait,
+                "seed": os.environ.get(SEED_ENV)}
+    given = {}
+    for key, (flag, field, choices) in _KEYS.items():
+        value = next((str(v) for v in (flag and getattr(args, flag), file_cfg.get(key),
+                                       fallback.get(key)) if v is not None), None)
+        if value is None:
+            continue
+        if key == "seed":
+            try:
+                value = int(value)
+            except ValueError:
+                where = (f"{args.config}: seed" if file_cfg.get("seed") is not None
+                         else f"${SEED_ENV}")
+                raise ValueError(f"{where} must be an integer, got {value!r}") from None
+        given[field] = _choice(choices, value) if choices else value
+    return OracleConfig(**given)
 
 
 def _config_dict(cfg: OracleConfig) -> dict:
-    return {
-        "K": fraction_text(cfg.K),
-        "N": fraction_text(cfg.N),
-        "u": fraction_text(cfg.launch_speed),
-        "r": fraction_text(cfg.flag_distance),
-        "mode": cfg.mode.value,
-        "epsilon": fraction_text(cfg.epsilon) if cfg.epsilon is not None else None,
-        "seed": cfg.seed,
-        "wait_policy": cfg.wait_policy.value,
-        "timeout_reaction": cfg.timeout_reaction.value,
-        "c_setup": fraction_text(cfg.c_setup),
-        "timing": cfg.timing,
-    }
+    """The config block: rationals as text and choices by recorded value, so
+    it reads back through --config."""
+    block = {}
+    for key, (_, field, choices) in _KEYS.items():
+        value = getattr(cfg, field)
+        block[key] = (value.value if choices else
+                      fraction_text(value) if isinstance(value, Fraction) else value)
+    return block
 
 
 def _write_outputs(outdir: str, files: dict, parameters: dict) -> None:
@@ -213,7 +213,7 @@ def cmd_advice(args) -> int:
     }
     if args.digits:
         payload["digits"] = format(src.prefix_int(args.digits), f"0{args.digits}b")
-    if args.word_length:
+    if args.word_length is not None:
         bits, consumed = decode_advice(src, args.word_length, f.a, f.b)
         payload["decoded"] = {
             "word_length": args.word_length,

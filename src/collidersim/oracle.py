@@ -32,7 +32,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Optional
 
-from . import rng
+from . import kernels, rng
 from .collision import Outcome
 # validate_word runs inside word_to_dyadic; the name stays importable here
 # because perfbench/spans.py traces it at the oracle's lookup name
@@ -278,8 +278,6 @@ class CollisionOracle:
         cfg = self.config
         if cfg.mode is _ERROR_FREE:
             return z
-        if epsilon is None:
-            raise ConfigError("this precision mode needs a tolerance")
         r = rng.raw64(cfg.seed, stream, 2 * trial)
         # z - eps + 2 eps r / 2**64 over lcm(zd, ed) 2**64; bisection's zd
         # divides its ed, so the product zd ed would carry spare bits
@@ -389,9 +387,9 @@ class CollisionOracle:
         """Checked (z, budget, epsilon) of a query, shared by both query kinds.
 
         z is the word's value as the integer pair (num, 2**exp).  The
-        returned epsilon is the tolerance the draws use: the global one in
-        FIXED mode, the per-query one in ARBITRARY mode, and None for
-        exactly manufactured masses.
+        returned epsilon is the tolerance the draws use.  FIXED mode pins
+        the global one; ARBITRARY mode needs a positive per-query one;
+        ERROR_FREE refuses a given epsilon <= 0 and otherwise returns None.
         """
         cfg = self.config
         d = word_to_dyadic(word)
@@ -400,21 +398,18 @@ class CollisionOracle:
         if budget.numerator <= 0:
             raise ConfigError("budget must be positive")
         mode = cfg.mode
-        if epsilon is None and mode is _ERROR_FREE:
-            return z, budget, None
         if mode is _FIXED:
             if epsilon is not None and to_fraction(epsilon) != cfg.epsilon:
                 raise ConfigError("FIXED mode pins every query to the global epsilon")
-            epsilon = cfg.epsilon
-        elif epsilon is not None:
-            epsilon = to_fraction(epsilon)
-            if epsilon.numerator <= 0:
-                raise ConfigError("epsilon must be positive")
-        if mode is _ARBITRARY and epsilon is None:
-            raise ConfigError("ARBITRARY mode needs a per-query epsilon")
-        if mode is _ERROR_FREE:
+            return z, budget, cfg.epsilon
+        if epsilon is None:
+            if mode is _ARBITRARY:
+                raise ConfigError("ARBITRARY mode needs a per-query epsilon")
             return z, budget, None
-        return z, budget, epsilon
+        epsilon = to_fraction(epsilon)
+        if epsilon.numerator <= 0:
+            raise ConfigError("epsilon must be positive")
+        return z, budget, epsilon if mode is _ARBITRARY else None
 
     # -- decision core ------------------------------------------------------
 
@@ -572,7 +567,6 @@ class CollisionOracle:
             and zf + epsilon <= 1
         )
         if usable_kernel:
-            from . import kernels
             n_less, n_great = kernels.count_outcomes(
                 cfg.seed, index, zeta, zf, epsilon, *self._exact_cutoffs(budget))
             engine = kernels.engine_name()

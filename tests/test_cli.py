@@ -1,10 +1,15 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collidersim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, build_parser, main
+from collidersim.cli import _config_dict, _resolve_config
+from collidersim.oracle import OracleConfig, PrecisionMode, TimeoutReaction, WaitPolicy
 
 
 def read(path):
@@ -197,6 +202,15 @@ class TestAdviceCommand:
         assert payload["decoded"]["digits_consumed"] <= \
             payload["decoded"]["read_bound"]
 
+    @pytest.mark.parametrize("length", ["0", "-1"])
+    def test_word_length_below_one_is_config_error(self, length, tmp_path, capsys):
+        code = main(["advice", "--table", self.write_table(tmp_path),
+                     "--word-length", length])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == "error: word_length must be >= 1\n"
+
     @pytest.mark.parametrize("directive", ["a=1/0", "b=1/0"])
     def test_zero_denominator_directive_is_config_error(self, directive,
                                                          tmp_path, capsys):
@@ -265,6 +279,32 @@ class TestConfigFile:
         cfg.write_text(json.dumps(json.loads(report)["config"]), encoding="utf-8")
         assert main(run + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
         assert read(tmp_path / "b" / "report.json") == report
+
+    @given(st.data())
+    def test_config_block_round_trips(self, data):
+        # every setting a run records reads back through --config as itself,
+        # whichever command's --mode/--wait defaults it would otherwise take
+        ratio = st.fractions(min_value=0, max_value=64, max_denominator=1 << 20)
+        positive = ratio.filter(lambda f: f > 0)
+        mode = data.draw(st.sampled_from(PrecisionMode))
+        eps = data.draw(positive if mode is PrecisionMode.FIXED else st.none() | positive)
+        cfg = OracleConfig(
+            K=data.draw(positive), N=data.draw(ratio), mode=mode, epsilon=eps,
+            wait_policy=data.draw(st.sampled_from(WaitPolicy)),
+            timeout_reaction=data.draw(st.sampled_from(TimeoutReaction)),
+            c_setup=data.draw(ratio), timing=data.draw(st.sampled_from(["protocol", "kinematic"])),
+            launch_speed=data.draw(positive), flag_distance=data.draw(positive),
+            seed=data.draw(st.integers(-(1 << 70), 1 << 70)))
+        command = data.draw(st.sampled_from([["measure", "--mass", "rational:1/3"],
+                                             ["estimate", "--mass", "rational:1/3", "--k", "1"]]))
+        block = _config_dict(cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(block, fh)
+            resolved = _resolve_config(build_parser().parse_args(command + ["--config", path]))
+        assert _config_dict(resolved) == block
+        assert resolved == cfg
 
     @pytest.mark.parametrize("key, choices", [
         ("mode", "arbitrary, error-free, errorfree, fixed"),

@@ -363,6 +363,15 @@ class TestQueryArgumentChecks:
             oracle.query("01", 10, epsilon=epsilon)
         assert oracle.transcript == []
 
+    def test_error_free_ignores_a_positive_epsilon(self):
+        oracle = self.oracle(PrecisionMode.ERROR_FREE)
+        rec = oracle.query("01", 8, "1/8")
+        assert rec.epsilon is None
+        assert rec.to_dict() == self.oracle(PrecisionMode.ERROR_FREE).query("01", 8).to_dict()
+        with pytest.raises(ConfigError, match="^epsilon must be positive$"):
+            oracle.query("01", 8, "-1/8")
+        assert len(oracle.transcript) == 1
+
     @pytest.mark.parametrize("make_source", [lambda: from_rational(1, 3),
                                              third_as_stream],
                              ids=["exact", "stream"])

@@ -1,6 +1,8 @@
 import doctest
 from pathlib import Path
 
+from collidersim.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -10,3 +12,14 @@ def test_readme_examples_run():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_config_file_example_loads(tmp_path, capsys):
+    # the documented keys are the ones --config reads: an unknown key exits 2
+    section = README.read_text(encoding="utf-8").split("### Config files", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.json"
+    path.write_text(example, encoding="utf-8")
+    code = main(["estimate", "--mass", "rational:1/3", "--k", "1", "--config", str(path)])
+    assert capsys.readouterr().err == ""
+    assert code == 0

@@ -300,11 +300,23 @@ class TestParsing:
         src = load_mass_file(str(path))
         assert src.exact_value == Fraction(2, 7)
 
-    def test_mass_file_rejects_unused_tokens(self, tmp_path):
+    @pytest.mark.parametrize("line, unused", [
+        ("kind=rational p=2 q=7 bogus=1", "bogus"),   # no kind reads it
+        ("kind=rational p=2 q=7 u=5", "u"),           # a pattern's key
+    ], ids=["unknown-key", "key-of-another-kind"])
+    def test_mass_file_rejects_unused_tokens(self, line, unused, tmp_path):
         path = tmp_path / "mass.txt"
-        path.write_text("kind=rational p=2 q=7 bogus=1\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError) as exc:
             load_mass_file(str(path))
+        assert str(exc.value) == f"{path}:1: unused tokens [{unused!r}]"
+
+    def test_mass_file_of_comments_only(self, tmp_path):
+        path = tmp_path / "mass.txt"
+        path.write_text("# hidden target\n\n# kind=rational p=2 q=7\n")
+        with pytest.raises(ValueError) as exc:
+            load_mass_file(str(path))
+        assert str(exc.value) == f"{path}: no mass specification found"
 
     @pytest.mark.parametrize("line, key", [("kind=rational q=3", "p"),
                                            ("kind=pattern", "u")])
@@ -351,6 +363,7 @@ class TestParsing:
         ("adversarial:u1=4,x=1", "unused tokens ['x']"),
         ("adversarial:u1=3,u1=6", "key 'u1' repeats"),
         ("adversarial:u1", "token 'u1' is not key=value"),
+        ("rational", "mass spec 'rational' needs the form kind:args"),
     ])
     def test_bad_inline_options_fail_in_the_file_words(self, spec, message):
         with pytest.raises(ValueError) as exc:
