@@ -34,11 +34,13 @@ from typing import Optional
 
 from . import kernels, rng
 from .collision import Outcome
-# validate_word runs inside word_to_dyadic; the name stays importable here
-# because perfbench/spans.py traces it at the oracle's lookup name
+# validate_word runs inside word_to_dyadic, and the clock reads its gap from
+# prefix_bracket, not distance_bracket; both names stay importable here
+# because perfbench/spans.py traces them at the oracle's lookup names
 from .dyadic import (fraction_text, to_fraction, validate_word,  # noqa: F401
                      word_to_dyadic)
-from .sources import MassSource, distance_bracket, prefix_bracket, refine
+from .sources import (MassSource, distance_bracket,  # noqa: F401
+                      prefix_bracket, refine)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -509,34 +511,50 @@ class CollisionOracle:
         narrowed until it fits inside one clock tick, then snapped to
         the tick grid.  Deterministic, so replays reproduce it exactly.
 
-        At depth d, with a <= D |m* - mu| <= b over D = md 2**d and
-        L = D law(m*, p/2**d) at the low end of the prefix cell, every
-        arrival lies in [L / b, (L + beta md) / a].  Past depth_hint the
-        certified gap a only grows, and the enclosure at depth d is at most
-        4 law(m*, 1) 2**-d / a**2 wide, so every
-        d >= need = bits_above(4 law(m*, 1) 2**48 / a**2) fits it inside a
-        tick.  The digit horizon is the first doubling of depth_hint that
-        reaches both need and four times the probe cap.
+        At depth d the prefix bracket gives integers a <= D |m* - mu| <= b
+        over D = md 2**d, and with L = D law(m*, lo) at the cell's low end
+        lo every arrival lies in [L / b, (L + beta md) / a].  The cells
+        nest, so past depth_hint the gap bounds a/D and b/D only close in
+        and law(m*, lo) only grows.  The enclosure is at most
+        4 law(m*, 1) 2**-d (D/a)**2 wide and at least L 2**-d D / b**2, so
+        with a, b, L and D read at depth_hint every
+        d >= need = bits_above(4 law(m*, 1) 2**48 (D/a)**2) fits it inside a
+        tick, and no d < skip = bits_above(L 2**48 D / b**2) does.  The
+        clock reads from the first doubling of depth_hint that reaches
+        skip to the first that reaches both need and four times the probe
+        cap, the digit horizon; a settle read is one integer bracket, and
+        no gap becomes a Fraction.
         """
         bits = self._CLOCK_BITS
         mn, md = m_star
-        a, _, _ = distance_bracket(self.source, Fraction(mn, md), depth_hint)
-        fn, fd = self._law(mn, md, md)
-        need = ((fn * a.denominator ** 2 << bits + 2) // (fd * a.numerator ** 2)).bit_length()
-        prefix_int, law, (_, bn, ld) = self.source.prefix_int, self._law, self._law_terms
+        an, bn, ld = self._law_terms
+        prefix_int = self.source.prefix_int
+
+        def low_law(side: int, a: int, b: int, depth: int) -> int:
+            # ld D law(m*, lo): the cell's low end lo is m + a when m* is
+            # below the cell and m - b when it is above
+            m = mn << depth
+            return an * (md << depth) + bn * (m + (m + a if side < 0 else m - b))
 
         def settle(depth: int):
-            # latest - earliest = md (L + beta b) / (a b) with L = ln/ld; a = 0 never settles
-            p = prefix_int(depth)
-            _, a, b = prefix_bracket(p, mn, md, depth)
-            ln, _ = law(mn << depth, p * md, md << depth)
+            # latest - earliest = md (L + beta b) / (a b) with L = ln/ld
+            side, a, b = prefix_bracket(prefix_int(depth), mn, md, depth)
+            if not side:
+                return None
+            ln = low_law(side, a, b, depth)
             if md * (ln + bn * b) << bits < ld * a * b:
                 return (ln << bits) // (ld * b)
             return None
 
+        side, a, b = prefix_bracket(prefix_int(depth_hint), mn, md, depth_hint)
+        D = md << depth_hint
+        fn, fd = self._law(mn, md, md)
+        need = ((fn * D * D << bits + 2) // (fd * a * a)).bit_length()
+        skip = ((low_law(side, a, b, depth_hint) * D << bits) // (ld * b * b)).bit_length()
         horizon = max(need, 4 * self.config.probe_depth_cap)
+        start = depth_hint << ((max(skip, 1) - 1) // depth_hint).bit_length()
         cap = depth_hint << ((horizon - 1) // depth_hint).bit_length()
-        ticks, _ = refine(depth_hint, cap, settle)
+        ticks, _ = refine(start, cap, settle)
         if ticks is None:
             raise RuntimeError("clock certification exceeded its digit horizon")
         arrival = Fraction(ticks, 1 << bits)

@@ -648,6 +648,38 @@ class TestClockHorizon:
                 assert got.outcome is want.outcome
                 assert abs(got.elapsed - want.elapsed) <= tick
 
+    @pytest.mark.parametrize("timing", ["protocol", "kinematic"])
+    def test_clock_skips_the_doublings_that_cannot_fit_a_tick(self, timing):
+        # a 202-digit bisection word decides at depth 211, and a tick needs
+        # 459 digits: the clock reads the decision's depth for its bracket,
+        # then 4 * 211, where it settles, and not 2 * 211, where the
+        # enclosure provably spans more than a tick
+        src = from_run_lengths([3, 2, 4])
+        word = "0" + format(src.prefix_int(200), "0200b") + "1"
+        read, prefix_int = [], src.prefix_int
+        src.prefix_int = lambda depth: read.append(depth) or prefix_int(depth)
+        budget = Fraction(1 << 208)
+        rec = CollisionOracle(src, OracleConfig(timing=timing)).query(word, budget)
+        assert rec.probe_depth == 211
+        assert read == [211, 211, 4 * 211]
+        want = reference_model.query(reference_model.Apparatus(timing=timing),
+                                     from_run_lengths([3, 2, 4]), 0, word, budget)
+        assert (str(rec.outcome), rec.elapsed) == (want.outcome, want.elapsed)
+
+    @pytest.mark.parametrize("timing", ["protocol", "kinematic"])
+    def test_horizon_is_read_from_the_near_end_of_the_bracket(self, timing):
+        # at depth 8 the cell [1/2, 1/2 + 2**-8] lies 2**-61 above m* and mu
+        # 2**-60 into it: a tick needs about 168 digits, which the near end
+        # 2**-61 foresees and the far end 2**-8 (a horizon of 128) does not
+        m = Fraction(1, 2) - Fraction(1, 1 << 61)
+
+        def stream():
+            return custom(lambda n: int(n in (1, 60)))
+        oracle = CollisionOracle(stream(), OracleConfig(timing=timing, probe_depth_cap=8))
+        got = oracle._reported_arrival((m.numerator, m.denominator), 8, Fraction(0))
+        app = reference_model.Apparatus(timing=timing, probe_depth_cap=8)
+        assert got == reference_model.clock_reading(app, stream(), m, 8, Fraction(0))
+
 
 class TestIntegerDecisionProperty:
     """Queries on exact targets decide like law/gap + jitter < budget."""
@@ -828,6 +860,18 @@ class TestStreamQueriesMatchReferenceModel:
              ru=(4, 4), N=0, mode=PrecisionMode.ERROR_FREE, eps_bits=1,
              wait=WaitPolicy.INTERRUPT, cap=4096, seed=0,
              queries=[(0, False, 3, 8)])
+    # the clock skips the doublings that cannot fit a tick: this one
+    # decides at depth 173 and reads the clock at 692, skipping 173 and 346
+    @example(stream=("pattern", [3, 2, 4]), timing="protocol", K=(1, 1),
+             ru=(1, 1), N=0, mode=PrecisionMode.ERROR_FREE, eps_bits=1,
+             wait=WaitPolicy.INTERRUPT, cap=4096, seed=0,
+             queries=[(160, True, 170, 1)])
+    # and with jitter and a drawn mass under kinematic timing it decides at
+    # depth 63 and reads the clock at 126
+    @example(stream=("pattern", [3, 2, 4]), timing="kinematic", K=(1, 1),
+             ru=(2, 3), N=4, mode=PrecisionMode.ARBITRARY, eps_bits=30,
+             wait=WaitPolicy.INTERRUPT, cap=4096, seed=7,
+             queries=[(40, True, 60, 1)])
     def test_query_matches_reference_model(self, stream, timing, K, ru, N, mode,
                                            eps_bits, wait, cap, seed, queries):
         eps = Fraction(1, 1 << eps_bits)

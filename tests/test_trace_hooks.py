@@ -48,9 +48,10 @@ def test_tracer_installs_records_and_restores(tmp_path, capsys):
     finally:
         tracer.restore()
     capsys.readouterr()
+    # the clock reads prefix_bracket's integers, so no path here calls
+    # distance_bracket or interval; their wrappers must still install
     for name in ("cli.main", "procedures.bisection", "procedures.grid_sweep",
-                 "oracle.query", "sources.distance_bracket", "sources.interval",
-                 "dyadic.validate_word", "dyadic.word_to_dyadic"):
+                 "oracle.query", "dyadic.validate_word", "dyadic.word_to_dyadic"):
         assert tracer.stats.get(name, [0])[0] > 0, name
     assert tracer.counters["oracle.probe_depth.max"] >= 8
     assert originals == (oracle.distance_bracket, oracle.validate_word,
