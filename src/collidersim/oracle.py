@@ -34,9 +34,10 @@ from typing import Optional
 
 from . import kernels, rng
 from .collision import Outcome
-# validate_word runs inside word_to_dyadic, and the clock reads its gap from
-# prefix_bracket, not distance_bracket; both names stay importable here
-# because perfbench/spans.py traces them at the oracle's lookup names
+# validate_word runs inside word_to_dyadic, which only text words reach
+# (bisection hands `query` its word's value), and the clock reads its gap from
+# prefix_bracket, not distance_bracket; all stay importable here because
+# perfbench/spans.py traces them at the oracle's lookup names
 from .dyadic import (fraction_text, to_fraction, validate_word,  # noqa: F401
                      word_to_dyadic)
 from .sources import (MassSource, distance_bracket,  # noqa: F401
@@ -305,14 +306,17 @@ class CollisionOracle:
 
     # -- single query -------------------------------------------------------
 
-    def query(self, word: str, budget, epsilon=None):
+    def query(self, word: str, budget, epsilon=None, *, _z=None):
         """Run one experiment; append and return its QueryRecord.
 
         Under TimeoutReaction.ABORT a timeout still appends its record
-        before raising, so aborted transcripts stay complete.
+        before raising, so aborted transcripts stay complete.  Inside the
+        package a caller that built the word itself may pass its value as
+        _z, the canonical pair (num, 2**exp) that `_resolve` would parse
+        from it; the budget and epsilon are checked all the same.
         """
         cfg = self.config
-        z, budget, epsilon = self._resolve(word, budget, epsilon)
+        z, budget, epsilon = self._resolve(word, budget, epsilon, _z)
         index = len(self.transcript)
         m_star = z if epsilon is None else self._draw_mass(z, epsilon, index)
         jitter = self._draw_jitter(index) if cfg.N else _ZERO
@@ -385,17 +389,19 @@ class CollisionOracle:
         lo, _, _, hi = rule(un, un, 0, ud)
         return (lo, s_lo * ud), None if hi is None else (hi, s_hi * ud)
 
-    def _resolve(self, word: str, budget, epsilon):
+    def _resolve(self, word: str, budget, epsilon, z=None):
         """Checked (z, budget, epsilon) of a query, shared by both query kinds.
 
-        z is the word's value as the integer pair (num, 2**exp).  The
-        returned epsilon is the tolerance the draws use.  FIXED mode pins
-        the global one; ARBITRARY mode needs a positive per-query one;
+        z is the word's value as the canonical integer pair (num, 2**exp),
+        parsed from the word unless the caller gives it.  The returned
+        epsilon is the tolerance the draws use.  FIXED mode pins the
+        global one; ARBITRARY mode needs a positive per-query one;
         ERROR_FREE refuses a given epsilon <= 0 and otherwise returns None.
         """
         cfg = self.config
-        d = word_to_dyadic(word)
-        z = d.num, 1 << d.exp
+        if z is None:
+            d = word_to_dyadic(word)
+            z = d.num, 1 << d.exp
         budget = to_fraction(budget)
         if budget.numerator <= 0:
             raise ConfigError("budget must be positive")
@@ -519,11 +525,20 @@ class CollisionOracle:
         4 law(m*, 1) 2**-d (D/a)**2 wide and at least L 2**-d D / b**2, so
         with a, b, L and D read at depth_hint every
         d >= need = bits_above(4 law(m*, 1) 2**48 (D/a)**2) fits it inside a
-        tick, and no d < skip = bits_above(L 2**48 D / b**2) does.  The
-        clock reads from the first doubling of depth_hint that reaches
-        skip to the first that reaches both need and four times the probe
-        cap, the digit horizon; a settle read is one integer bracket, and
-        no gap becomes a Fraction.
+        tick, and no d < bits_above(L 2**48 D / b**2) does.  The clock
+        reads from the first doubling of depth_hint that can fit a tick to
+        the first that reaches both need and four times the probe cap, the
+        digit horizon; a settle read is one integer bracket, and no gap
+        becomes a Fraction.
+
+        Both ends are read from bit lengths, with fn/fd = law(m*, 1).  need
+        matters only past four caps, so its division runs only when its
+        upper bound bl(fn) + 2 bl(D) + 53 - bl(fd) - 2 bl(a) gets there,
+        and the horizon is the same either way.  The start is the first
+        doubling that reaches skip = bl(ld L) + bl(D) - 1 + 48 - bl(ld) -
+        2 bl(b), a lower bound at most 4 under the quotient's bit length:
+        as depth_hint >= 8, that is the same doubling or the one before,
+        where a settle provably fails.
         """
         bits = self._CLOCK_BITS
         mn, md = m_star
@@ -549,9 +564,12 @@ class CollisionOracle:
         side, a, b = prefix_bracket(prefix_int(depth_hint), mn, md, depth_hint)
         D = md << depth_hint
         fn, fd = self._law(mn, md, md)
-        need = ((fn * D * D << bits + 2) // (fd * a * a)).bit_length()
-        skip = ((low_law(side, a, b, depth_hint) * D << bits) // (ld * b * b)).bit_length()
-        horizon = max(need, 4 * self.config.probe_depth_cap)
+        horizon, bl_d = 4 * self.config.probe_depth_cap, D.bit_length()
+        if fn.bit_length() + 2 * bl_d + bits + 5 - fd.bit_length() - 2 * a.bit_length() > horizon:
+            need = ((fn * D * D << bits + 2) // (fd * a * a)).bit_length()
+            horizon = max(need, horizon)
+        skip = (low_law(side, a, b, depth_hint).bit_length() + bl_d - 1 + bits
+                - ld.bit_length() - 2 * b.bit_length())
         start = depth_hint << ((max(skip, 1) - 1) // depth_hint).bit_length()
         cap = depth_hint << ((horizon - 1) // depth_hint).bit_length()
         ticks, _ = refine(start, cap, settle)

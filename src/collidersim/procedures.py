@@ -206,7 +206,9 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     width-2**-(i-1) cell those digits pin the target to.  Lesser/greater
     turns into digit 1/0.  A timeout ends the run; with equal masses
     (dyadic target hit exactly) that is the only possible ending, since
-    no budget ever resolves equality.
+    no budget ever resolves equality.  The digits are also kept as the
+    integer num, so `query` is handed the word's value (2 num + 1)/2**i
+    and does not parse the word it was given.
     """
     if n_digits < 1:
         raise ValueError("n_digits must be >= 1")
@@ -217,7 +219,7 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     if cfg.mode is PrecisionMode.ARBITRARY and stage_tolerance is None:
         stage_tolerance = default_stage_tolerance
 
-    digits = ""
+    digits, num = "", 0
     stage_elapsed = []
     timed_out_at = None
     query, lesser, timeout = oracle.query, Outcome.LESSER, Outcome.TIMEOUT
@@ -226,14 +228,16 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
         budget = schedule(len(word))
         eps = stage_tolerance(stage) if stage_tolerance is not None else None
         try:
-            rec = query(word, budget, eps)
+            rec = query(word, budget, eps, _z=(2 * num + 1, 1 << stage))
         except TimeoutExceeded as exc:
             rec = exc.record
         stage_elapsed.append(rec.elapsed)
         if rec.outcome is timeout:
             timed_out_at = stage
             break
-        digits += "1" if rec.outcome is lesser else "0"
+        bit = rec.outcome is lesser
+        digits += "1" if bit else "0"
+        num = 2 * num + bit
     fired = len(stage_elapsed)   # stage i fires a word of i + 1 digits
     # the waiting time as one sum of numerators over the lcm of the denominators
     den = lcm(*[t.denominator for t in stage_elapsed])

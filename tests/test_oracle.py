@@ -680,6 +680,68 @@ class TestClockHorizon:
         app = reference_model.Apparatus(timing=timing, probe_depth_cap=8)
         assert got == reference_model.clock_reading(app, stream(), m, 8, Fraction(0))
 
+    @staticmethod
+    def exact_clock_start(app, src, m, depth):
+        """The first doubling of depth that reaches bits_above(law(m, lo)
+        2**48 / far**2), the exact-division start: lo is the depth-d
+        cell's low end and far its distance from m at the far end."""
+        lo = Fraction(src.prefix_int(depth), 1 << depth)
+        far = max(abs(m - lo), abs(m - lo - Fraction(1, 1 << depth)))
+        skip = reference_model.bits_above(
+            reference_model.law(app, m, lo) / (far * far * reference_model.TICK))
+        return depth << ((max(skip, 1) - 1) // depth).bit_length()
+
+    def test_clock_may_start_one_doubling_before_the_exact_start(self):
+        # the word 0.<10 digits>1 decides at depth 35; the exact division
+        # starts the clock at 140, its bit-length bound at 70, where the
+        # enclosure provably spans more than a tick, so the reading holds
+        src = from_run_lengths([3, 2, 4])
+        word = "0" + format(src.prefix_int(10), "010b") + "1"
+        read, prefix_int = [], src.prefix_int
+        src.prefix_int = lambda depth: read.append(depth) or prefix_int(depth)
+        rec = CollisionOracle(src).query(word, Fraction(1 << 32))
+        assert rec.probe_depth == 35
+        assert read == [35, 35, 70, 140]
+        app, m = reference_model.Apparatus(), reference_model.word_value(word)
+        assert self.exact_clock_start(app, from_run_lengths([3, 2, 4]), m, 35) == 140
+        assert rec.elapsed == reference_model.clock_reading(
+            app, from_run_lengths([3, 2, 4]), m, 35, Fraction(0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           K=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           ru=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           length=st.integers(0, 60), flip=st.booleans(), extra=st.integers(0, 40))
+    @example(runs=[3, 2, 4], timing="protocol", K=(1, 1), ru=(1, 1), length=10,
+             flip=False, extra=22)
+    def test_clock_starts_at_or_one_doubling_before_the_exact_start(
+            self, runs, timing, K, ru, length, flip, extra):
+        # the word 0.d1...dL1 from the target's first L digits, the last
+        # flipped or not, at the budget 2**(L + extra)
+        src = from_run_lengths(runs)
+        digits = format(src.prefix_int(length), f"0{length}b") if length else ""
+        if flip and digits:
+            digits = digits[:-1] + "10"[int(digits[-1])]
+        word = "0" + digits + "1"
+        cfg = OracleConfig(K=Fraction(*K), timing=timing, flag_distance=Fraction(ru[0]),
+                           launch_speed=Fraction(ru[1]))
+        read, prefix_int = [], src.prefix_int
+        src.prefix_int = lambda depth: read.append(depth) or prefix_int(depth)
+        rec = CollisionOracle(src, cfg).query(word, Fraction(1 << length + extra))
+        assume(rec.outcome is not Outcome.TIMEOUT)
+        # the decision's reads end at its depth h, then the clock reads h
+        # for its bracket and starts its doublings
+        h = rec.probe_depth
+        first = read[read.index(h) + 2]
+        app = reference_model.Apparatus(K=cfg.K, timing=timing, flag_distance=cfg.flag_distance,
+                                        launch_speed=cfg.launch_speed)
+        m = reference_model.word_value(word)
+        start = self.exact_clock_start(app, from_run_lengths(runs), m, h)
+        assert first == start or (2 * first == start and first >= h)
+        assert rec.elapsed == reference_model.clock_reading(
+            app, from_run_lengths(runs), m, h, Fraction(0))
+
 
 class TestIntegerDecisionProperty:
     """Queries on exact targets decide like law/gap + jitter < budget."""

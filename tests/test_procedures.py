@@ -188,6 +188,37 @@ class TestBisection:
         assert report.timed_out_at == 4
         assert report.digits == "010"
 
+    @pytest.mark.parametrize("mode", [PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY])
+    @pytest.mark.parametrize("tolerance, error", [(0, ConfigError),
+                                                  (Fraction(-1, 8), ConfigError),
+                                                  (0.125, TypeError)])
+    def test_stage_tolerance_is_checked_as_query_checks_it(self, mode, tolerance, error):
+        # bisection hands query the word's value but leaves the tolerance to
+        # query's checks: a bad one fails before any record, as through query
+        cfg = OracleConfig(mode=mode)
+        with pytest.raises(error):
+            CollisionOracle(from_run_lengths([3, 2, 4]), cfg).query("01", 64, tolerance)
+        oracle = CollisionOracle(from_run_lengths([3, 2, 4]), cfg)
+        with pytest.raises(error):
+            bisection(oracle, 4, schedule_exponential(1, 6),
+                      stage_tolerance=lambda stage: tolerance)
+        assert oracle.transcript == []
+
+    @pytest.mark.parametrize("mode", [PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY])
+    @pytest.mark.parametrize("wait", list(WaitPolicy))
+    def test_records_are_those_of_the_words_fired_as_text(self, mode, wait):
+        # the value bisection hands query is the one query parses from the
+        # word: the same z, the same draws, the same record bytes
+        cfg = OracleConfig(mode=mode, wait_policy=wait, N=Fraction(1, 4), seed=3,
+                           record_hidden=True)
+        oracle = CollisionOracle(from_run_lengths([3, 2, 4]), cfg)
+        assert bisection(oracle, 60, schedule_exponential(1, 6)).complete
+        fresh = CollisionOracle(from_run_lengths([3, 2, 4]), cfg)
+        for rec in oracle.transcript:
+            again = fresh.query(rec.word, rec.budget, rec.epsilon)
+            assert (rec.z, rec.z_length, rec.to_dict(), rec.json_line(), rec.hidden,
+                    rec.probe_depth) == (again.z, again.z_length, again.to_dict(),
+                                         again.json_line(), again.hidden, again.probe_depth)
 
 
 class TestBisectionMatchesReferenceModel:
@@ -205,24 +236,39 @@ class TestBisectionMatchesReferenceModel:
            arbitrary=st.booleans(),
            wait=st.sampled_from(list(WaitPolicy)),
            seed=st.integers(0, 2**16),
-           n_digits=st.integers(4, 40))
+           n_digits=st.integers(4, 40),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           ru=st.tuples(st.integers(1, 9), st.integers(1, 9)))
     @example(runs=[3, 2, 4], K=(1, 1), shift=6, N=0, c_setup=1, arbitrary=False,
-             wait=WaitPolicy.INTERRUPT, seed=0, n_digits=24)
+             wait=WaitPolicy.INTERRUPT, seed=0, n_digits=24, timing="protocol", ru=(1, 1))
     @example(runs=[1], K=(3, 2), shift=1, N=4, c_setup=2, arbitrary=True,
-             wait=WaitPolicy.FULL_BUDGET, seed=5, n_digits=12)
+             wait=WaitPolicy.FULL_BUDGET, seed=5, n_digits=12, timing="protocol", ru=(1, 1))
     # interrupt arrivals over 2**48 and jitter, then a timeout billed K 2**n
     # with K = 3/7: the stage times have mixed denominators
     @example(runs=[3, 2, 4], K=(3, 7), shift=2, N=5, c_setup=Fraction(2, 3),
-             arbitrary=False, wait=WaitPolicy.INTERRUPT, seed=1, n_digits=30)
+             arbitrary=False, wait=WaitPolicy.INTERRUPT, seed=1, n_digits=30,
+             timing="protocol", ru=(1, 1))
+    # long interrupt-billed runs, as the benchmark's: the word's value is
+    # handed to query at every stage, and the clock's bit-length start is
+    # one doubling early at stage 4 of the first and stage 2 of the second
+    @example(runs=[3, 2, 4], K=(1, 1), shift=6, N=0, c_setup=1, arbitrary=False,
+             wait=WaitPolicy.INTERRUPT, seed=0, n_digits=400, timing="protocol", ru=(1, 1))
+    @example(runs=[1, 3], K=(3, 2), shift=6, N=3, c_setup=1, arbitrary=True,
+             wait=WaitPolicy.INTERRUPT, seed=7, n_digits=200, timing="kinematic",
+             ru=(2, 3))
     def test_bisection_matches_reference_model(self, runs, K, shift, N, c_setup,
-                                               arbitrary, wait, seed, n_digits):
+                                               arbitrary, wait, seed, n_digits,
+                                               timing, ru):
         Kf = Fraction(*K)
         cfg = OracleConfig(K=Kf, N=Fraction(N, 16), c_setup=c_setup, seed=seed,
                            mode=PrecisionMode.ARBITRARY if arbitrary
-                           else PrecisionMode.ERROR_FREE, wait_policy=wait)
+                           else PrecisionMode.ERROR_FREE, wait_policy=wait,
+                           timing=timing, flag_distance=Fraction(ru[0]),
+                           launch_speed=Fraction(ru[1]))
         app = reference_model.Apparatus(
             K=Kf, N=cfg.N, interrupt=wait is WaitPolicy.INTERRUPT, seed=seed,
-            c_setup=cfg.c_setup)
+            c_setup=cfg.c_setup, timing=timing, flag_distance=cfg.flag_distance,
+            launch_speed=cfg.launch_speed)
         oracle = CollisionOracle(from_run_lengths(runs), cfg)
         rep = bisection(oracle, n_digits, schedule_exponential(Kf, shift))
         records, want = reference_model.bisection(
