@@ -9,10 +9,9 @@ schedules, advice encodings, and statistical estimators that turn the
 timing law into computation.
 """
 
-from .collision import (Outcome, accuracy_time_floor, classify_outcome,
-                        experiment_time, kinetic_energy, momentum,
-                        post_collision_velocities, time_bounds,
-                        time_gap_product, uncertainty_product)
+from .collision import (Outcome, classify_outcome, experiment_time,
+                        kinetic_energy, momentum, post_collision_velocities,
+                        time_bounds, time_gap_product, uncertainty_product)
 from .dyadic import Dyadic, validate_word, word_to_dyadic
 from .oracle import (BatchRecord, CollisionOracle, ConfigError, OracleConfig,
                      PrecisionMode, QueryRecord, TimeoutExceeded,
@@ -22,24 +21,20 @@ from .sources import (MassSource, RunLengths, adversarial_mass,
                       distance_bracket, from_dyadic, from_rational,
                       from_run_lengths, load_mass_file, parse_mass_spec)
 from .procedures import (MeasurementReport, Schedule, adversarial_continuation,
-                         bisection, builtin_schedules,
-                         constant_budget_bisection, grid_failure_measure,
-                         grid_sweep, grid_sweep_with_margin,
-                         measurability_check, measurable_continuation,
-                         parse_schedule, run_length_blocks,
-                         schedule_algebraic, schedule_constant,
-                         schedule_exponential, schedule_from_transcript,
+                         bisection, builtin_schedules, grid_failure_measure,
+                         grid_sweep, measurability_check,
+                         measurable_continuation, parse_schedule,
+                         run_length_blocks, schedule_algebraic,
+                         schedule_constant, schedule_exponential,
                          schedule_tabular, sufficient_exponential,
                          sufficient_for_rational)
 from .advice import (AdviceCorruptionError, GrowthBoundError, PrefixFunction,
-                     binarize_8bit, code_binary, decode_advice, decode_binary,
+                     binarize_8bit, code_binary, decode_advice,
                      dyadic_gap_bound, encode_advice, encoded_mass, read_bound)
 from .harness import (AdviceLanguage, DigitEstimate, MembershipResult,
-                      coin_amalgamation, cost_slope, decide_membership,
-                      digit_accuracy, embed_parameter, estimate_digits,
-                      estimator_zeta, expected_statistic, hidden_bit_language,
-                      membership_schedule, pair_words, statistic_variance,
-                      trinomial_probabilities, unpair_words)
+                      cost_slope, decide_membership, embed_parameter,
+                      estimate_digits, estimator_zeta, hidden_bit_language,
+                      membership_schedule, trinomial_probabilities)
 from . import kernels
 
 __version__ = "0.1.0"

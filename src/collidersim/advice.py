@@ -46,20 +46,6 @@ def code_binary(bits: str) -> str:
         raise ValueError(f"not a bit string: {bits!r}") from None
 
 
-def decode_binary(coded: str) -> str:
-    """Inverse of code_binary on separator-free content."""
-    if len(coded) % 3:
-        raise AdviceCorruptionError("content length is not a multiple of 3")
-    out = []
-    for i in range(0, len(coded), 3):
-        t = coded[i:i + 3]
-        b = BIT_OF_TRIPLE.get(t)
-        if b is None:
-            raise AdviceCorruptionError(f"invalid content triple {t!r}")
-        out.append(b)
-    return "".join(out)
-
-
 def binarize_8bit(text: str) -> str:
     """Fixed-width byte expansion for advice over non-binary alphabets.
 

@@ -180,8 +180,9 @@ def cmd_measure(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
-    if cfg.epsilon is None:
-        raise ValueError("estimate needs --epsilon (the fixed tolerance)")
+    if cfg.mode is not PrecisionMode.FIXED:
+        raise ConfigError("digit estimation is the fixed-tolerance procedure; "
+                          "configure mode=FIXED with epsilon")
     s_source = parse_mass_spec(args.mass)
     oracle = CollisionOracle(embed_parameter(s_source, cfg.epsilon), cfg)
     est = estimate_digits(oracle, args.k, args.delta)

@@ -128,16 +128,3 @@ def uncertainty_product(m, mu, u=1, r=1) -> Fraction:
         raise ValueError("equal masses have no finite experiment time")
     return abs(m - mu) * experiment_time(m, mu, u=u, r=r)
 
-
-def accuracy_time_floor(n: int, u=1, r=1, mass_low=0):
-    """Minimum time any experiment needs to certify |m - mu| <= 2**-n.
-
-    Distinguishing masses closer than 2**-n forces a run whose gap is at
-    most 2**-n, and the product law then forces time >= A * 2**n where
-    A = s_min * r / u.  Exponential cost per digit is structural, not an
-    artifact of this simulator.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    floor, _ = time_bounds(Fraction(1, 1 << n), u=u, r=r, mass_low=mass_low)
-    return floor

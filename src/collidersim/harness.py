@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .advice import PrefixFunction, decode_advice, read_bound
-from .collision import Outcome
 from .dyadic import to_fraction
 from .oracle import CollisionOracle, ConfigError, PrecisionMode, WaitPolicy
 from .procedures import (MeasurementReport, Schedule, bisection,
@@ -69,41 +68,6 @@ def trinomial_probabilities(s, h) -> tuple[Fraction, Fraction, Fraction]:
     p = (s + Fraction(1, 2) - h) / 2
     q = (Fraction(3, 2) - s - h) / 2
     return p, q, h
-
-
-def expected_statistic(s) -> Fraction:
-    """Per-trial mean of X = 2*[lesser] + [timeout]: s + 1/2, h-free."""
-    return to_fraction(s) + Fraction(1, 2)
-
-
-def statistic_variance(s, h) -> Fraction:
-    """Per-trial variance of X = 2*[lesser] + [timeout]."""
-    p, _, r = trinomial_probabilities(s, h)
-    mean = 2 * p + r
-    return 4 * p + r - mean * mean
-
-
-def coin_amalgamation(n_lesser: int, n_greater: int, n_timeout: int,
-                      isolate: Outcome = Outcome.LESSER) -> tuple[int, int]:
-    """Collapse trinomial counts to a coin: one outcome against the rest.
-
-    Timeouts are real observations here, not failures; lumping them
-    with the opposite flag crossing is what turns the three-way tally
-    into Bernoulli trials with an s-linear head probability.
-    """
-    counts = {Outcome.LESSER: n_lesser, Outcome.GREATER: n_greater,
-              Outcome.TIMEOUT: n_timeout}
-    if isolate not in counts:
-        raise ValueError("isolate must be LESSER, GREATER, or TIMEOUT")
-    heads = counts.pop(isolate)
-    return heads, sum(counts.values())
-
-
-def digit_accuracy(k: int) -> Fraction:
-    """Estimate accuracy that pins k digits of a safely-separated s."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return Fraction(1, 1 << (k + 5))
 
 
 def estimator_zeta(k: int, delta) -> int:
@@ -188,31 +152,6 @@ def estimate_digits(oracle: CollisionOracle, k: int,
 
 # ---------------------------------------------------------------------------
 # advice languages decided through the oracle
-
-
-def pair_words(x: str, y: str) -> str:
-    """Self-delimiting pairing: doubled bits of x, then 01, then doubled y."""
-    if set(x + y) - {"0", "1"}:
-        raise ValueError("pairing is defined on bit strings")
-    return "".join(c + c for c in x) + "01" + "".join(c + c for c in y)
-
-
-def unpair_words(w: str) -> tuple[str, str]:
-    i = 0
-    x = []
-    while i + 1 < len(w) and w[i] == w[i + 1]:
-        x.append(w[i])
-        i += 2
-    if w[i:i + 2] != "01":
-        raise ValueError("missing pair delimiter")
-    i += 2
-    y = []
-    while i < len(w):
-        if i + 1 >= len(w) or w[i] != w[i + 1]:
-            raise ValueError("second component is not doubled")
-        y.append(w[i])
-        i += 2
-    return "".join(x), "".join(y)
 
 
 class AdviceLanguage:

@@ -12,7 +12,7 @@ be checked against transcripts rather than against formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
@@ -298,25 +298,6 @@ def grid_sweep(oracle: CollisionOracle, r: int) -> MeasurementReport:
     )
 
 
-def grid_sweep_with_margin(oracle: CollisionOracle, n_digits: int, margin: int) -> MeasurementReport:
-    """n digits via a sweep at level n + margin.
-
-    Raising the level shrinks the failure windows much faster than it
-    multiplies the grid points, so each extra margin bit halves the
-    failure measure; the returned digits are truncated to the n asked
-    for.
-    """
-    if n_digits < 1 or margin < 0:
-        raise ValueError("need n_digits >= 1 and margin >= 0")
-    rep = grid_sweep(oracle, n_digits + margin)
-    return replace(
-        rep, procedure="grid-sweep-margin", requested=n_digits,
-        digits=rep.digits[:n_digits] if rep.complete else "",
-        details={"level": n_digits + margin, "margin": margin,
-                 "grid_timeouts": rep.details["grid_timeouts"]},
-    )
-
-
 def grid_failure_measure(r: int) -> Fraction:
     """Exact Lebesgue measure of the sweep's failure set within [0, 1].
 
@@ -326,21 +307,6 @@ def grid_failure_measure(r: int) -> Fraction:
     if r < 1:
         raise ValueError("r must be >= 1")
     return Fraction(1, 1 << r)
-
-
-def constant_budget_bisection(oracle: CollisionOracle, k: int, n_digits: int) -> MeasurementReport:
-    """Bisection that waits K * 2**k on every stage regardless of depth.
-
-    For a non-dyadic target this completes any fixed n once k is large
-    enough that K * 2**k covers the slowest stage; sweeping k therefore
-    enumerates a family whose union measures every non-dyadic mass,
-    with no single member measuring all of them.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    rep = bisection(oracle, n_digits, schedule_constant(oracle.config.K * (1 << k)))
-    rep.details["k"] = k
-    return replace(rep, procedure="constant-budget-bisection")
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +369,3 @@ def adversarial_continuation(prefix: str, schedule: Schedule, K) -> MassSource:
     runs.descriptor = f"prefix[{len(prefix)}]+adversarial:{schedule.descriptor}"
     return from_run_lengths(runs)
 
-
-def schedule_from_transcript(records) -> Schedule:
-    """Constant schedule at the largest budget a completed run ever granted.
-
-    Whatever procedure produced the records, its queries all finished
-    within this budget, so bisection granted the same allowance at
-    every stage can only be earlier at each depth the transcript
-    reached.
-    """
-    budgets = [r.budget for r in records]
-    if not budgets:
-        raise ValueError("empty transcript")
-    return schedule_constant(max(budgets))

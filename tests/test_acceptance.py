@@ -33,7 +33,7 @@ from collidersim.procedures import (adversarial_continuation, bisection,
                                     builtin_schedules, grid_failure_measure,
                                     grid_sweep, measurability_check,
                                     measurable_continuation,
-                                    schedule_exponential,
+                                    schedule_constant, schedule_exponential,
                                     sufficient_exponential,
                                     sufficient_for_rational)
 from collidersim.rng import derive_seed
@@ -228,6 +228,15 @@ def test_criterion_07_fixed_noise_digit_estimation_statistics():
     delta = Fraction(1, 4)
     eps = Fraction(1, 64)
     reps = 100
+    # exactly, X = 2*[lesser] + [timeout] has mean s + 1/2 whatever the
+    # timeout half-width h, and at the inset h = 1/4 a variance of at
+    # most 3/4, the cap that estimator_zeta's Chebyshev bound assumes
+    for s in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(1)):
+        for h in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+            p, _, r_prob = trinomial_probabilities(s, h)
+            assert 2 * p + r_prob == s + Fraction(1, 2)
+        p, _, r_prob = trinomial_probabilities(s, Fraction(1, 4))
+        assert 4 * p + r_prob - (2 * p + r_prob) ** 2 <= Fraction(3, 4)
     # sample variance of 100 draws concentrates within 3 sigma of the
     # population value, which the inset caps at 3/4
     var_bound = 0.75 * (1 + 3 * math.sqrt(2 / 99))
@@ -378,3 +387,30 @@ def test_criterion_11_uncertainty_product_invariant():
     m = _rand_unit(gen)
     with pytest.raises(ValueError):
         uncertainty_product(m, m)
+    # so no run resolves a gap of 2**-n sooner than lo * r / u * 2**(n+1):
+    # each further digit doubles the shortest possible wait
+    lo, u, r = Fraction(1, 8), Fraction(3, 2), Fraction(5, 7)
+    floors = [time_bounds(Fraction(1, 1 << n), u, r, lo)[0] for n in range(2, 40)]
+    assert floors == [lo * r / u * (1 << (n + 1)) for n in range(2, 40)]
+
+
+@criterion(12, "constant budgets measure every non-dyadic mass, no one budget all")
+def test_criterion_12_constant_budget_family():
+    # bisection that waits K * 2**k on every stage, whatever its depth
+    def completes(p: int, q: int, k: int) -> bool:
+        oracle = CollisionOracle(from_rational(p, q))
+        return bisection(oracle, 8, schedule_constant(1 << k)).complete
+
+    # every non-dyadic mass is read by some member, and by every larger one
+    for q in range(3, 14, 2):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                done = [completes(p, q, k) for k in range(20)]
+                assert True in done, (p, q)
+                assert all(done[done.index(True):]), (p, q)
+    # but each member has a mass it cannot read, which a larger one reads
+    for k in range(20):
+        p, q = 3 * (1 << k) + 1, 3 << (k + 1)   # 1/2 + 1/(3 * 2**(k+1))
+        assert not completes(p, q, k), k
+        if k >= 2:
+            assert completes(p, q, k + 8), k

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from collidersim.advice import (AdviceCorruptionError, GrowthBoundError,
                                 PrefixFunction, advice_chunks, binarize_8bit,
-                                code_binary, decode_advice, decode_binary,
-                                dyadic_gap_bound, encode_advice, encoded_mass,
-                                read_bound)
+                                code_binary, decode_advice, dyadic_gap_bound,
+                                encode_advice, encoded_mass, read_bound)
 from collidersim.dyadic import Dyadic
 
 
@@ -17,18 +16,21 @@ class TestTripleCode:
     def test_frozen_example(self):
         assert code_binary("00101") == "100100010100010"
 
+    # a word of length 1 reads the content before the first separator,
+    # which is f(1), inverted triple by triple
     def test_round_trip(self):
         gen = random.Random(3)
         for _ in range(50):
             bits = "".join(gen.choice("01") for _ in range(gen.randrange(12)))
-            assert decode_binary(code_binary(bits)) == bits
+            got = decode_advice(code_binary(bits) + "001", 1, 0, 12)
+            assert got == (bits, 3 * len(bits) + 3)
 
     def test_corrupt_triples_rejected(self):
-        for bad in ["000", "111", "110", "011", "101", "001"]:
-            with pytest.raises(AdviceCorruptionError):
-                decode_binary(bad)
+        for bad in ["000", "111", "110", "011", "101"]:
+            with pytest.raises(AdviceCorruptionError, match=f"invalid triple '{bad}'"):
+                decode_advice("010" + bad + "001", 1, 0, 4)
         with pytest.raises(AdviceCorruptionError):
-            decode_binary("10")  # torn triple
+            decode_advice("01010", 1, 0, 4)  # torn triple
 
     def test_binarize_8bit(self):
         assert binarize_8bit("A") == "01000001"

@@ -42,12 +42,12 @@ class TestMeasure:
         assert "waiting time: 160" in out
 
     @pytest.mark.parametrize("flags, named", [
-        ([], "--wait full"),
-        (["--wait", "full", "--mode", "arbitrary"], "--mode errorfree"),
-    ], ids=["interrupt", "arbitrary"])
+        (["--level", "3"], "--wait full"),
+        (["--level", "3", "--wait", "full", "--mode", "arbitrary"], "--mode errorfree"),
+        (["--wait", "full"], "the grid procedure needs --level"),
+    ], ids=["interrupt", "arbitrary", "no-level"])
     def test_grid_config_error_names_the_flag(self, flags, named, capsys):
-        code = main(["measure", "--mass", "rational:1/3", "--procedure", "grid",
-                     "--level", "3", *flags])
+        code = main(["measure", "--mass", "rational:1/3", "--procedure", "grid", *flags])
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
 
@@ -154,6 +154,24 @@ class TestEstimate:
         assert code == EXIT_CONFIG
         assert "epsilon" in capsys.readouterr().err
 
+    # a non-fixed mode gets the estimator's own refusal, with or without
+    # an epsilon, rather than a request for the epsilon it already has
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "errorfree"], "digit estimation is the fixed-tolerance procedure"),
+        (["--mode", "errorfree", "--epsilon", "1/64"],
+         "digit estimation is the fixed-tolerance procedure"),
+        (["--mode", "arbitrary"], "digit estimation is the fixed-tolerance procedure"),
+        (["--mode", "arbitrary", "--epsilon", "1/64"],
+         "digit estimation is the fixed-tolerance procedure"),
+        (["--epsilon", "1/64", "--N", "1"], "digit estimation needs zero launch latency"),
+        (["--epsilon", "1/64", "--delta", "1"], "delta must lie in (0, 1)"),
+    ], ids=["errorfree", "errorfree-epsilon", "arbitrary", "arbitrary-epsilon",
+            "launch-latency", "delta"])
+    def test_refusal_names_what_the_estimator_needs(self, flags, message, capsys):
+        code = main(["estimate", "--mass", "rational:1/3", "--k", "1", *flags])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_out_directory(self, tmp_path, capsys):
         outdir = tmp_path / "est"
         code = main(["estimate", "--mass", "rational:1/7", "--k", "1",
@@ -253,6 +271,18 @@ class TestConfigFile:
                      "grid", "--level", "2", "--config", str(cfg)])
         assert code == EXIT_CONFIG
         assert repr(next(iter(entry))) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"u": "0"}, "launch_speed and flag_distance must be positive"),
+        ({"c_setup": "-1"}, "c_setup must be >= 0"),
+    ], ids=["u", "c_setup"])
+    def test_out_of_range_value_is_config_error(self, entry, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry), encoding="utf-8")
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("entry", [{"mode": "arbitrary"},
                                        {"wait_policy": "interrupt"}],

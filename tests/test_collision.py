@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from collidersim.collision import (Outcome, accuracy_time_floor,
-                                   classify_outcome, experiment_time,
-                                   kinetic_energy, momentum,
+from collidersim.collision import (Outcome, classify_outcome,
+                                   experiment_time, kinetic_energy, momentum,
                                    post_collision_velocities, time_bounds,
                                    time_gap_product, uncertainty_product)
 
@@ -117,7 +116,8 @@ class TestTimeBounds:
 
     def test_accuracy_floor_doubles_per_digit(self):
         lo = Fraction(1, 8)
-        vals = [accuracy_time_floor(n, mass_low=lo) for n in range(3, 10)]
+        # no run certifies |m - mu| <= 2**-n faster than the floor at that gap
+        vals = [time_bounds(Fraction(1, 1 << n), mass_low=lo)[0] for n in range(3, 10)]
         for n, v in zip(range(3, 10), vals):
             assert v == 2 * lo * (1 << n)
         assert all(b == 2 * a for a, b in zip(vals, vals[1:]))

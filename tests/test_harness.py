@@ -4,15 +4,11 @@ from fractions import Fraction
 import pytest
 
 from collidersim.advice import PrefixFunction, encoded_mass, read_bound
-from collidersim.collision import Outcome
 from collidersim.harness import (AdviceLanguage, MeasurementIncomplete,
-                                 coin_amalgamation, cost_slope,
-                                 decide_membership, digit_accuracy,
+                                 cost_slope, decide_membership,
                                  embed_parameter, estimate_digits,
-                                 estimator_zeta, expected_statistic,
-                                 hidden_bit_language, membership_schedule,
-                                 pair_words, statistic_variance,
-                                 trinomial_probabilities, unpair_words)
+                                 estimator_zeta, hidden_bit_language,
+                                 membership_schedule, trinomial_probabilities)
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
                                 PrecisionMode, WaitPolicy)
 from collidersim.procedures import schedule_constant
@@ -28,20 +24,22 @@ class TestTrinomial:
     def test_statistic_mean_cancels_inset(self):
         for s in (Fraction(0), Fraction(1, 7), Fraction(2, 7), Fraction(1)):
             p, q, r = trinomial_probabilities(s, Fraction(1, 4))
-            assert 2 * p + r == expected_statistic(s) == s + Fraction(1, 2)
+            assert 2 * p + r == s + Fraction(1, 2)
 
     def test_variance_closed_form_at_quarter_inset(self):
         for s in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(1)):
-            got = statistic_variance(s, Fraction(1, 4))
+            p, _, r = trinomial_probabilities(s, Fraction(1, 4))
+            got = 4 * p + r - (2 * p + r) ** 2
             assert got == Fraction(1, 2) + s * (1 - s)
             assert got <= Fraction(3, 4)
 
     def test_variance_matches_first_principles(self):
+        # X is 2 on lesser, 0 on greater and 1 on timeout
         s, h = Fraction(2, 7), Fraction(1, 8)
-        p, q, r = trinomial_probabilities(s, h)
-        mean = 2 * p + r
-        second = 4 * p + r
-        assert statistic_variance(s, h) == second - mean * mean
+        probs = trinomial_probabilities(s, h)
+        mean = sum(x * pr for x, pr in zip((2, 0, 1), probs))
+        second = sum(x * x * pr for x, pr in zip((2, 0, 1), probs))
+        assert second - mean * mean == s * (1 - s) + Fraction(3, 4) - h
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -50,19 +48,16 @@ class TestTrinomial:
             trinomial_probabilities(Fraction(1, 2), Fraction(2, 3))
 
 
-class TestAmalgamation:
-    def test_frozen_counts(self):
-        assert coin_amalgamation(3, 2, 1) == (3, 3)
-
-    def test_isolating_other_outcomes(self):
-        assert coin_amalgamation(3, 2, 1, isolate=Outcome.GREATER) == (2, 4)
-        assert coin_amalgamation(3, 2, 1, isolate=Outcome.TIMEOUT) == (1, 5)
-
-
 class TestEstimatorSizing:
     def test_digit_accuracy(self):
-        assert digit_accuracy(1) == Fraction(1, 64)
-        assert digit_accuracy(3) == Fraction(1, 256)
+        # zeta is the least trial count at which Chebyshev, with the
+        # variance cap 3/4, holds the accuracy 2**-(k+5) at confidence delta
+        delta = Fraction(1, 4)
+        for k in (1, 2, 3):
+            zeta = estimator_zeta(k, delta)
+            accuracy = Fraction(1, 1 << (k + 5))
+            assert Fraction(3, 4) / (zeta * accuracy ** 2) < delta
+            assert Fraction(3, 4) / ((zeta - 1) * accuracy ** 2) >= delta
 
     def test_zeta_frozen(self):
         quarter = Fraction(1, 4)
@@ -86,16 +81,15 @@ def _fixed_oracle():
     lambda: embed_parameter(from_rational(1, 7), 0.1),
     lambda: trinomial_probabilities(0.1, Fraction(1, 4)),
     lambda: trinomial_probabilities(Fraction(1, 3), 0.1),
-    lambda: expected_statistic(0.1),
     lambda: estimator_zeta(2, 0.1),
     lambda: estimate_digits(_fixed_oracle(), 1, delta=0.1),
     lambda: PrefixFunction(lambda n: "", 0.1, 1),
     lambda: PrefixFunction(lambda n: "", 1, 0.1),
     lambda: read_bound(4, 0.1, 1),
     lambda: read_bound(4, 1, 0.1),
-], ids=["embed_parameter", "trinomial-s", "trinomial-h", "expected_statistic",
-        "estimator_zeta", "estimate_digits", "PrefixFunction-a",
-        "PrefixFunction-b", "read_bound-a", "read_bound-b"])
+], ids=["embed_parameter", "trinomial-s", "trinomial-h", "estimator_zeta",
+        "estimate_digits", "PrefixFunction-a", "PrefixFunction-b",
+        "read_bound-a", "read_bound-b"])
 def test_floats_are_refused(call):
     # a float would enter as its binary value, not the rational meant
     with pytest.raises(TypeError, match="0.1"):
@@ -130,7 +124,7 @@ class TestEstimateDigits:
         assert est.zeta == 12289
         assert est.digits == "0"
         assert est.n_lesser + est.n_greater + est.n_timeout == est.zeta
-        assert abs(est.s_hat - Fraction(1, 7)) < digit_accuracy(1)
+        assert abs(est.s_hat - Fraction(1, 7)) < Fraction(1, 64)
 
     def test_two_digits_of_four_sevenths(self):
         oracle = self.estimator_oracle(from_rational(4, 7), Fraction(1, 64), 8)
@@ -162,16 +156,6 @@ class TestEstimateDigits:
                                "greater": est.n_greater,
                                "timeout": est.n_timeout}
         assert d["s_hat"].count("/") == 1
-
-
-class TestWordPairing:
-    def test_round_trip(self):
-        for x, y in [("0", "1"), ("0110", "1"), ("", ""), ("1", "0010")]:
-            assert unpair_words(pair_words(x, y)) == (x, y)
-
-    def test_length_is_affordable(self):
-        w = pair_words("0" * 10, "1" * 3)
-        assert len(w) == 2 * 13 + 2
 
 
 class TestHiddenBitLanguage:

@@ -8,16 +8,13 @@ from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
                                 PrecisionMode, TimeoutReaction, WaitPolicy)
 from collidersim.procedures import (adversarial_continuation, bisection,
                                     builtin_schedules,
-                                    constant_budget_bisection,
                                     default_stage_tolerance,
                                     grid_failure_measure, grid_sweep,
-                                    grid_sweep_with_margin,
                                     measurability_check,
                                     measurable_continuation, parse_schedule,
                                     run_length_blocks, schedule_algebraic,
                                     schedule_constant, schedule_exponential,
-                                    schedule_from_transcript, schedule_tabular,
-                                    sufficient_exponential,
+                                    schedule_tabular, sufficient_exponential,
                                     sufficient_for_rational,
                                     Schedule)
 from collidersim.sources import (RunLengths, from_dyadic, from_rational,
@@ -400,13 +397,6 @@ class TestGridSweep:
         with pytest.raises(ConfigError):
             grid_sweep(CollisionOracle(from_rational(1, 3), cfg), 2)
 
-    def test_margin_truncates_deeper_sweep(self):
-        oracle = CollisionOracle(from_rational(1, 3), self.grid_config())
-        report = grid_sweep_with_margin(oracle, 3, 2)
-        assert report.complete
-        assert report.digits == "010"
-        assert report.details["level"] == 5
-
 
 class TestClosedFormAccounting:
     """A report's simulated-time totals equal the sums over the records
@@ -469,16 +459,17 @@ class TestClosedFormAccounting:
 
 
 class TestConstantBudget:
+    # bisection that waits K * 2**k on every stage, whatever its depth
     def test_enough_budget_completes(self):
         oracle = CollisionOracle(from_rational(1, 3))
-        report = constant_budget_bisection(oracle, 6, 4)
+        report = bisection(oracle, 4, schedule_constant(1 << 6))
         assert report.complete
         assert report.digits == "0101"
         assert {rec.budget for rec in oracle.transcript} == {64}
 
     def test_small_budget_stops_at_first_digit(self):
         oracle = CollisionOracle(from_rational(1, 3))
-        report = constant_budget_bisection(oracle, 1, 4)
+        report = bisection(oracle, 4, schedule_constant(1 << 1))
         assert report.timed_out_at == 1
 
 
@@ -528,11 +519,3 @@ class TestContinuations:
         tail = "".join(str(tame.digit_at(i)) for i in range(3, 11))
         assert tail == "01010101"
 
-
-class TestScheduleFromTranscript:
-    def test_replays_at_peak_budget(self):
-        oracle = CollisionOracle(from_rational(1, 3))
-        bisection(oracle, 5, schedule_exponential(1, 2))
-        T = schedule_from_transcript(oracle.transcript)
-        peak = max(rec.budget for rec in oracle.transcript)
-        assert T(1) == peak and T(40) == peak
