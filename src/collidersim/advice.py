@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .dyadic import to_fraction
 from .sources import MassSource, _key_values, read_input
@@ -73,17 +73,13 @@ class PrefixFunction:
         self.stable_from = stable_from
         self.descriptor = descriptor
         self._fn = fn
-        self._cache: dict[int, str] = {}
 
     def __call__(self, n: int) -> str:
         if n < 0:
             raise ValueError("advice arguments are nonnegative lengths")
-        v = self._cache.get(n)
-        if v is None:
-            v = self._fn(n)
-            if set(v) - {"0", "1"}:
-                raise ValueError(f"advice value at {n} is not binary: {v!r}")
-            self._cache[n] = v
+        v = self._fn(n)
+        if set(v) - {"0", "1"}:
+            raise ValueError(f"advice value at {n} is not binary: {v!r}")
         return v
 
     @classmethod
@@ -244,48 +240,34 @@ def read_bound(word_length: int, a, b) -> int:
     return 3 * content + 3 * (m + 1)
 
 
-def decode_advice(stream: Union[str, MassSource], word_length: int,
-                  a, b) -> tuple[str, int]:
-    """Recover f(2**m) for 2**(m-1) < word_length <= 2**m.
+def decode_advice(stream: str, word_length: int, a, b) -> tuple[str, int]:
+    """Recover f(2**m) for 2**(m-1) < word_length <= 2**m from a 0/1 string.
 
     Reads aligned triples until the (m+1)-st separator, refusing streams
-    that are not triple-coded or that run past the read bound implied by
-    the growth pair (a, b).  Returns the advice bits and the number of
-    digits consumed.
+    that are not triple-coded, that end before it or that run past the
+    read bound implied by the growth pair (a, b): the first
+    read_bound(word_length, a, b) digits are all it ever reads.  Returns
+    the advice bits and the number of digits consumed.
     """
     if word_length < 1:
         raise ValueError("word_length must be >= 1")
     m = (word_length - 1).bit_length()
-    if isinstance(stream, str):
-        def getbit(i: int) -> str:
-            if i > len(stream):
-                raise AdviceCorruptionError("stream ended before the last separator")
-            return stream[i - 1]
-    else:
-        def getbit(i: int) -> str:
-            return str(stream.digit_at(i))
-
     max_triples = read_bound(word_length, a, b) // 3
-    content = []
-    separators = 0
-    triples = 0
-    pos = 1
-    while separators <= m:
-        if triples >= max_triples:
-            raise AdviceCorruptionError(
-                f"no separator {m + 1} within {max_triples} triples; "
-                "stream violates the declared growth bound")
-        t = getbit(pos) + getbit(pos + 1) + getbit(pos + 2)
-        pos += 3
-        triples += 1
+    content, separators = [], 0
+    for pos in range(0, 3 * max_triples, 3):
+        t = stream[pos:pos + 3]
         if t == SEPARATOR:
             separators += 1
+            if separators > m:
+                return "".join(content), pos + 3
+        elif t in BIT_OF_TRIPLE:
+            content.append(BIT_OF_TRIPLE[t])
+        elif len(t) < 3:
+            raise AdviceCorruptionError("stream ended before the last separator")
         else:
-            bit = BIT_OF_TRIPLE.get(t)
-            if bit is None:
-                raise AdviceCorruptionError(f"invalid triple {t!r} at digit {pos - 3}")
-            content.append(bit)
-    return "".join(content), 3 * triples
+            raise AdviceCorruptionError(f"invalid triple {t!r} at digit {pos + 1}")
+    raise AdviceCorruptionError(f"no separator {m + 1} within {max_triples} triples; "
+                                "stream violates the declared growth bound")
 
 
 def dyadic_gap_bound(n: int) -> Fraction:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .advice import PrefixFunction, decode_advice, encoded_mass, read_bound
 from .dyadic import fraction_text
-from .harness import embed_parameter, estimate_digits
+from .harness import embed_parameter, estimate_digits, require_fixed_mode
 from .oracle import (CollisionOracle, ConfigError, OracleConfig, PrecisionMode,
                      QueryRecord, TimeoutReaction, WaitPolicy)
 from .procedures import bisection, grid_sweep, parse_schedule
@@ -93,21 +93,30 @@ def _resolve_config(args) -> OracleConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
     fallback = {"mode": args.default_mode, "wait_policy": args.default_wait,
                 "seed": os.environ.get(SEED_ENV)}
-    given = {}
+    given, from_file = {}, {}
     for key, (flag, field, choices) in _KEYS.items():
-        value = next((str(v) for v in (flag and getattr(args, flag), file_cfg.get(key),
-                                       fallback.get(key)) if v is not None), None)
+        flagged = flag and getattr(args, flag)
+        value = next((str(v) for v in (flagged, file_cfg.get(key), fallback.get(key))
+                      if v is not None), None)
         if value is None:
             continue
+        if flagged is None and file_cfg.get(key) is not None:
+            from_file[field] = key
         if key == "seed":
             try:
                 value = int(value)
             except ValueError:
-                where = (f"{args.config}: seed" if file_cfg.get("seed") is not None
-                         else f"${SEED_ENV}")
+                where = f"{args.config}: seed" if "seed" in from_file else f"${SEED_ENV}"
                 raise ValueError(f"{where} must be an integer, got {value!r}") from None
         given[field] = _choice(choices, value) if choices else value
-    return OracleConfig(**given)
+    try:
+        return OracleConfig(**given)
+    except ConfigError as exc:
+        # "<field> must be ...": a file's value is refused under its path and key
+        field, _, rule = str(exc).partition(" ")
+        if field not in from_file:
+            raise
+        raise ConfigError(f"{args.config}: {from_file[field]} {rule}") from None
 
 
 def _config_dict(cfg: OracleConfig) -> dict:
@@ -180,9 +189,7 @@ def cmd_measure(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
-    if cfg.mode is not PrecisionMode.FIXED:
-        raise ConfigError("digit estimation is the fixed-tolerance procedure; "
-                          "configure mode=FIXED with epsilon")
+    require_fixed_mode(cfg)   # embedding the parameter needs FIXED mode's epsilon
     s_source = parse_mass_spec(args.mass)
     oracle = CollisionOracle(embed_parameter(s_source, cfg.epsilon), cfg)
     est = estimate_digits(oracle, args.k, args.delta)
@@ -215,12 +222,14 @@ def cmd_advice(args) -> int:
     if args.digits:
         payload["digits"] = format(src.prefix_int(args.digits), f"0{args.digits}b")
     if args.word_length is not None:
-        bits, consumed = decode_advice(src, args.word_length, f.a, f.b)
+        bound = read_bound(args.word_length, f.a, f.b)   # the decoder reads no further
+        bits, consumed = decode_advice(format(src.prefix_int(bound), f"0{bound}b"),
+                                       args.word_length, f.a, f.b)
         payload["decoded"] = {
             "word_length": args.word_length,
             "advice": bits,
             "digits_consumed": consumed,
-            "read_bound": read_bound(args.word_length, f.a, f.b),
+            "read_bound": bound,
         }
     parameters = {"command": "advice", "table": args.table,
                   "digits": args.digits, "word_length": args.word_length}

@@ -24,11 +24,12 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .advice import PrefixFunction, decode_advice, read_bound
 from .dyadic import to_fraction
-from .oracle import CollisionOracle, ConfigError, PrecisionMode, WaitPolicy
+from .oracle import (CollisionOracle, ConfigError, OracleConfig, PrecisionMode,
+                     WaitPolicy)
 from .procedures import (MeasurementReport, Schedule, bisection,
                          schedule_exponential)
 from .sources import MassSource, affine_of_source
@@ -48,8 +49,7 @@ def embed_parameter(s_source: MassSource, epsilon) -> MassSource:
     eps = to_fraction(epsilon)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2]")
-    return affine_of_source(Fraction(1, 2) - eps / 2, eps, s_source,
-                            kind="embedded-parameter")
+    return affine_of_source(Fraction(1, 2) - eps / 2, eps, s_source)
 
 
 def trinomial_probabilities(s, h) -> tuple[Fraction, Fraction, Fraction]:
@@ -116,6 +116,14 @@ class DigitEstimate:
         }
 
 
+def require_fixed_mode(cfg: OracleConfig) -> None:
+    """The estimator's refusal of every mode but FIXED, for the command and
+    the procedure alike."""
+    if cfg.mode is not PrecisionMode.FIXED:
+        raise ConfigError("digit estimation is the fixed-tolerance procedure; "
+                          "use --mode fixed with --epsilon (PrecisionMode.FIXED)")
+
+
 def estimate_digits(oracle: CollisionOracle, k: int,
                     delta=Fraction(1, 4)) -> DigitEstimate:
     """Read the first k digits of the embedded parameter despite fixed noise.
@@ -126,9 +134,7 @@ def estimate_digits(oracle: CollisionOracle, k: int,
     whole window) with exact fixed tolerance and no launch latency.
     """
     cfg = oracle.config
-    if cfg.mode is not PrecisionMode.FIXED or cfg.epsilon is None:
-        raise ConfigError("digit estimation is the fixed-tolerance procedure; "
-                          "configure mode=FIXED with epsilon")
+    require_fixed_mode(cfg)   # FIXED mode holds a positive epsilon
     if cfg.N != 0:
         raise ConfigError("digit estimation needs zero launch latency so the "
                           "timeout width is exact")
@@ -162,11 +168,9 @@ class AdviceLanguage:
     decoder recovers from the encoded mass knowing only |w|.
     """
 
-    def __init__(self, rule: Callable[[str, str], bool], f: PrefixFunction,
-                 descriptor: str = "advice-language"):
+    def __init__(self, rule: Callable[[str, str], bool], f: PrefixFunction):
         self.rule = rule
         self.f = f
-        self.descriptor = descriptor
 
     def covering_power(self, length: int) -> int:
         if length < 1:
@@ -208,7 +212,7 @@ def hidden_bit_language(hidden: str) -> AdviceLanguage:
             raise ValueError("advice too short for this word length")
         return advice[idx - 1] == "1"
 
-    return AdviceLanguage(rule, f, descriptor="hidden-bit")
+    return AdviceLanguage(rule, f)
 
 
 @dataclass
@@ -241,21 +245,19 @@ def membership_schedule(K) -> Schedule:
 
 
 def decide_membership(oracle: CollisionOracle, word: str,
-                      language: AdviceLanguage,
-                      schedule: Optional[Schedule] = None) -> MembershipResult:
+                      language: AdviceLanguage) -> MembershipResult:
     """Decide one word by measuring, decoding, then applying the base rule.
 
     The oracle's hidden mass must encode the language's advice function;
     only the public growth pair (a, b) and the base rule are used here.
+    The measurement runs under membership_schedule(K).
     """
     length = len(word)
     if length < 1:
         raise ValueError("words must be nonempty")
     a, b = language.f.a, language.f.b
     depth = read_bound(length, a, b)
-    if schedule is None:
-        schedule = membership_schedule(oracle.config.K)
-    report = bisection(oracle, depth, schedule)
+    report = bisection(oracle, depth, membership_schedule(oracle.config.K))
     if not report.complete:
         raise MeasurementIncomplete(report)
     advice_bits, consumed = decode_advice(report.digits, length, a, b)

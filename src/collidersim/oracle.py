@@ -130,22 +130,19 @@ class OracleConfig:
     probe_depth_cap: int = 4096
     record_hidden: bool = False
 
+    # each rational field, and whether it must be positive or only >= 0
+    _RATIONALS = (("K", True), ("N", False), ("c_setup", False),
+                  ("launch_speed", True), ("flag_distance", True))
+
     def __post_init__(self):
-        self.K = to_fraction(self.K)
-        self.N = to_fraction(self.N)
-        self.c_setup = to_fraction(self.c_setup)
-        self.launch_speed = to_fraction(self.launch_speed)
-        self.flag_distance = to_fraction(self.flag_distance)
+        for name, _ in self._RATIONALS:
+            setattr(self, name, to_fraction(getattr(self, name)))
         if self.epsilon is not None:
             self.epsilon = to_fraction(self.epsilon)
-        if self.K <= 0:
-            raise ConfigError("K must be positive")
-        if self.N < 0:
-            raise ConfigError("N must be >= 0")
-        if self.c_setup < 0:
-            raise ConfigError("c_setup must be >= 0")
-        if self.launch_speed <= 0 or self.flag_distance <= 0:
-            raise ConfigError("launch_speed and flag_distance must be positive")
+        for name, positive in self._RATIONALS:
+            # "<field> must be ...": the command line puts its own key in its place
+            if (value := getattr(self, name)) < 0 or positive and value == 0:
+                raise ConfigError(f"{name} must be {'positive' if positive else '>= 0'}")
         if self.timing not in ("protocol", "kinematic"):
             raise ConfigError(f"unknown timing {self.timing!r}")
         if self.mode is PrecisionMode.FIXED:
@@ -552,10 +549,9 @@ class CollisionOracle:
             return an * (md << depth) + bn * (m + (m + a if side < 0 else m - b))
 
         def settle(depth: int):
+            # past the deciding depth the nested cells keep m* and mu apart;
             # latest - earliest = md (L + beta b) / (a b) with L = ln/ld
             side, a, b = prefix_bracket(prefix_int(depth), mn, md, depth)
-            if not side:
-                return None
             ln = low_law(side, a, b, depth)
             if md * (ln + bn * b) << bits < ld * a * b:
                 return (ln << bits) // (ld * b)
@@ -580,20 +576,22 @@ class CollisionOracle:
 
     # -- batched queries ------------------------------------------------------
 
-    def batch_query(self, word: str, budget, zeta: int, epsilon=None) -> BatchRecord:
+    def batch_query(self, word: str, budget, zeta: int) -> BatchRecord:
         """zeta independent repetitions of one query, reported as counts.
 
         Requires FULL_BUDGET accounting (each repetition bills the whole
         budget) and zero jitter with an exactly-known target for the
         threshold engine; anything else falls back to running the
-        trials one-by-one through the certified decision path.
+        trials one-by-one through the certified decision path.  Trials
+        draw at the config's tolerance (FIXED) or none (error-free); ARBITRARY
+        mode has no per-query tolerance here and is refused, with no record.
         """
         cfg = self.config
         if zeta < 1:
             raise ConfigError("zeta must be >= 1")
         if cfg.wait_policy is not WaitPolicy.FULL_BUDGET:
             raise ConfigError("batched queries require WaitPolicy.FULL_BUDGET")
-        z, budget, epsilon = self._resolve(word, budget, epsilon)
+        z, budget, epsilon = self._resolve(word, budget, None)
         zf, index = Fraction(*z), len(self.transcript)
         usable_kernel = (
             epsilon is not None

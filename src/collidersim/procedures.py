@@ -197,8 +197,7 @@ def default_stage_tolerance(stage: int) -> Fraction:
     return Fraction(1, 1 << (stage + 6))
 
 
-def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
-              stage_tolerance: Optional[Callable[[int], Fraction]] = None) -> MeasurementReport:
+def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule) -> MeasurementReport:
     """Read the target's digits one halving at a time.
 
     Stage i fires the word "0" + (the digits read so far) + "1", of
@@ -208,7 +207,9 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     (dyadic target hit exactly) that is the only possible ending, since
     no budget ever resolves equality.  The digits are also kept as the
     integer num, so `query` is handed the word's value (2 num + 1)/2**i
-    and does not parse the word it was given.
+    and does not parse the word it was given.  Under ARBITRARY mode stage
+    i asks for the tolerance default_stage_tolerance(i); error-free
+    stages ask for none.
     """
     if n_digits < 1:
         raise ValueError("n_digits must be >= 1")
@@ -216,8 +217,7 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     if cfg.mode is PrecisionMode.FIXED:
         raise ConfigError("bisection digits are only sound in error-free or "
                           "per-query tolerance modes")
-    if cfg.mode is PrecisionMode.ARBITRARY and stage_tolerance is None:
-        stage_tolerance = default_stage_tolerance
+    arbitrary = cfg.mode is PrecisionMode.ARBITRARY
 
     digits, num = "", 0
     stage_elapsed = []
@@ -226,7 +226,7 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule,
     for stage in range(1, n_digits + 1):
         word = "0" + digits + "1"
         budget = schedule(len(word))
-        eps = stage_tolerance(stage) if stage_tolerance is not None else None
+        eps = default_stage_tolerance(stage) if arbitrary else None
         try:
             rec = query(word, budget, eps, _z=(2 * num + 1, 1 << stage))
         except TimeoutExceeded as exc:
@@ -364,8 +364,7 @@ def adversarial_continuation(prefix: str, schedule: Schedule, K) -> MassSource:
     apart from the measurable continuation.
     """
     blocks = run_length_blocks(prefix)
-    runs = diagonal_run_lengths(lambda n: schedule(n), to_fraction(K),
-                                initial_runs=blocks, extend_last=True)
+    runs = diagonal_run_lengths(lambda n: schedule(n), to_fraction(K), blocks)
     runs.descriptor = f"prefix[{len(prefix)}]+adversarial:{schedule.descriptor}"
     return from_run_lengths(runs)
 

@@ -180,22 +180,14 @@ class _PatternSource(MassSource):
 
 
 class _CustomSource(MassSource):
-    def __init__(self, digit_fn: Callable[[int], int], kind: str = "custom",
-                 audit: bool = False):
+    def __init__(self, digit_fn: Callable[[int], int], kind: str):
         super().__init__()
         self.kind = kind
         self._fn = digit_fn
-        self._audit = audit
 
     def _block(self, start: int, depth: int) -> str:
         # the rule is opaque: one digit per block
-        n = start + 1
-        b = self._fn(n)
-        if self._audit:
-            again = self._fn(n)
-            if again != b:
-                raise RuntimeError(f"digit rule is not pure: digit {n} gave {b} then {again}")
-        b = int(b)
+        b = int(self._fn(start + 1))
         if b not in (0, 1):
             raise ValueError(f"digit stream produced {b!r}")
         return "01"[b]
@@ -218,9 +210,8 @@ def from_run_lengths(runs) -> MassSource:
     return _PatternSource(runs)
 
 
-def custom(digit_fn: Callable[[int], int], kind: str = "custom",
-           audit: bool = False) -> MassSource:
-    return _CustomSource(digit_fn, kind=kind, audit=audit)
+def custom(digit_fn: Callable[[int], int]) -> MassSource:
+    return _CustomSource(digit_fn, "custom")
 
 
 def run_length_blocks(bits: str) -> list[int]:
@@ -289,9 +280,7 @@ def distance_bracket(src: MassSource, m, depth: int) -> tuple[Fraction, Fraction
 
 
 def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
-                         initial_runs: Optional[Sequence[int]] = None,
-                         extend_last: bool = False, u1: int = 4,
-                         descriptor: str = "schedule") -> RunLengths:
+                         initial_runs: Sequence[int]) -> RunLengths:
     """Run lengths that outgrow a waiting-time schedule block by block.
 
     After the seeded blocks, block k+1 is the least length making the
@@ -301,32 +290,22 @@ def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
     for every k past the seed.  The construction is computable from the
     schedule; it replaces uncomputable worst cases with an explicit one.
 
-    initial_runs pins a digit prefix the stream must reproduce; with
-    extend_last the final seed block came from a truncated prefix and
-    may stretch (never shrink) to satisfy its inequality.
+    initial_runs pins a digit prefix the stream must reproduce.  Its
+    last block may have been cut by the prefix's end, so it may stretch
+    (never shrink) to satisfy its inequality, unless it is the only
+    block: a lone first block is the free seed, kept verbatim.
     """
     Kf = to_fraction(K)
     if Kf <= 0:
         raise ValueError("K must be positive")
-    if initial_runs is None:
-        if u1 < 1:
-            # u_1 = 0 would put the wall before the first digit; keep at
-            # least one honest digit so runs visibly start before stalling.
-            raise ValueError("u1 must be >= 1")
-        initial = [u1]
-        extend_last = False
-    else:
-        initial = [int(v) for v in initial_runs]
-        if not initial:
-            raise ValueError("need at least one seed block")
-        if initial[0] < 0 or any(v < 1 for v in initial[1:]):
-            raise ValueError("invalid seed run lengths")
+    initial = [int(v) for v in initial_runs]
+    if not initial:
+        raise ValueError("need at least one seed block")
+    if initial[0] < 0 or any(v < 1 for v in initial[1:]):
+        raise ValueError("invalid seed run lengths")
 
     j = len(initial)
-    # Blocks before the last seed block are pinned; the last is pinned too
-    # unless extend_last says it may stretch, and a lone first block is
-    # always kept verbatim (it is the free seed, nothing to diagonalize).
-    first_free = j if (extend_last and j >= 2) else j + 1
+    first_free = max(j, 2)   # blocks before it are pinned
     a = sum(initial[:first_free - 1])  # digits before the next free block
 
     def u_func(k: int) -> int:
@@ -337,23 +316,25 @@ def diagonal_run_lengths(budget_fn: Callable[[int], Fraction], K,
         base = max(a, 1)
         bound = max(to_fraction(budget_fn(base)),
                     to_fraction(budget_fn(base + 1))) / Kf
-        floor_u = initial[-1] if (extend_last and k == j) else 1
+        floor_u = initial[-1] if k == j else 1
         # least u with 2**(a + u) > bound
         u = max(floor_u, 1, bits_above(bound) - a)
         a += u
         return u
 
-    return RunLengths(u_func, descriptor=f"adversarial:{descriptor}")
+    return RunLengths(u_func, descriptor="adversarial:schedule")
 
 
 def adversarial_mass(budget_fn: Callable[[int], Fraction], K,
-                     u1: int = 4, descriptor: str = "schedule") -> MassSource:
-    """Mass whose run lengths diagonalize against a waiting-time schedule."""
-    return _PatternSource(diagonal_run_lengths(budget_fn, K, u1=u1,
-                                               descriptor=descriptor))
+                     u1: int = 4) -> MassSource:
+    """Mass whose run lengths diagonalize against a waiting-time schedule,
+    from a first block of u1 leading ones."""
+    if u1 < 1:   # keep one honest digit: runs visibly start before stalling
+        raise ValueError("u1 must be >= 1")
+    return _PatternSource(diagonal_run_lengths(budget_fn, K, [u1]))
 
 
-def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> MassSource:
+def affine_of_source(offset, scale, src: MassSource) -> MassSource:
     """Digits of offset + scale * mu: read from the exact image when mu is
     known exactly, otherwise refined from the digits of mu.
 
@@ -367,7 +348,7 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
     if src.exact_value is not None:
         # a dyadic image of a non-dyadic source sits on a cell boundary
         # that no finite prefix of the source settles
-        return _ExactSource(off + sc * src.exact_value, kind)
+        return _ExactSource(off + sc * src.exact_value, "affine")
 
     def digit_fn(n: int) -> int:
         def settle(depth: int) -> Optional[int]:
@@ -387,7 +368,7 @@ def affine_of_source(offset, scale, src: MassSource, kind: str = "affine") -> Ma
                                "digits; the image may be dyadic")
         return bit
 
-    return _CustomSource(digit_fn, kind=kind)
+    return _CustomSource(digit_fn, "affine")
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,10 @@ def test_criterion_05_advice_decoding_and_corruption_detection():
         src = encoded_mass(f)
         for _ in range(3):
             w = 2 ** gen.randrange(0, m_top + 1)
-            got, consumed = decode_advice(src, w, 2, 4)
+            bound = read_bound(w, 2, 4)
+            got, consumed = decode_advice(format(src.prefix_int(bound), f"0{bound}b"), w, 2, 4)
             assert got == f(w)
-            assert consumed <= read_bound(w, 2, 4)
+            assert consumed <= bound
         digits = encode_advice(f, m_top)
         i = gen.randrange(len(digits))
         flipped = digits[:i] + ("1" if digits[i] == "0" else "0") + digits[i + 1:]

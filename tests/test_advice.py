@@ -195,9 +195,11 @@ class TestDecoding:
         src = encoded_mass(f)
         for w in (1, 2, 3, 5, 8):
             m = (w - 1).bit_length()
-            bits, consumed = decode_advice(src, w, f.a, f.b)
+            bound = read_bound(w, f.a, f.b)
+            bits, consumed = decode_advice(format(src.prefix_int(bound), f"0{bound}b"),
+                                           w, f.a, f.b)
             assert bits == f(1 << m)
-            assert consumed <= read_bound(w, f.a, f.b)
+            assert consumed <= bound
 
     def test_decode_from_string(self):
         coded = code_binary("1") + "001" + code_binary("0") + "001"

@@ -155,14 +155,16 @@ class TestEstimate:
         assert "epsilon" in capsys.readouterr().err
 
     # a non-fixed mode gets the estimator's own refusal, with or without
-    # an epsilon, rather than a request for the epsilon it already has
+    # an epsilon, rather than a request for the epsilon it already has; it
+    # names the flags, as the grid procedure's refusals do
+    FIXED_ONLY = ("digit estimation is the fixed-tolerance procedure; "
+                  "use --mode fixed with --epsilon (PrecisionMode.FIXED)\n")
+
     @pytest.mark.parametrize("flags, message", [
-        (["--mode", "errorfree"], "digit estimation is the fixed-tolerance procedure"),
-        (["--mode", "errorfree", "--epsilon", "1/64"],
-         "digit estimation is the fixed-tolerance procedure"),
-        (["--mode", "arbitrary"], "digit estimation is the fixed-tolerance procedure"),
-        (["--mode", "arbitrary", "--epsilon", "1/64"],
-         "digit estimation is the fixed-tolerance procedure"),
+        (["--mode", "errorfree"], FIXED_ONLY),
+        (["--mode", "errorfree", "--epsilon", "1/64"], FIXED_ONLY),
+        (["--mode", "arbitrary"], FIXED_ONLY),
+        (["--mode", "arbitrary", "--epsilon", "1/64"], FIXED_ONLY),
         (["--epsilon", "1/64", "--N", "1"], "digit estimation needs zero launch latency"),
         (["--epsilon", "1/64", "--delta", "1"], "delta must lie in (0, 1)"),
     ], ids=["errorfree", "errorfree-epsilon", "arbitrary", "arbitrary-epsilon",
@@ -273,16 +275,27 @@ class TestConfigFile:
         assert repr(next(iter(entry))) in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry, message", [
-        ({"u": "0"}, "launch_speed and flag_distance must be positive"),
+        ({"u": "0"}, "u must be positive"),
+        ({"r": "0"}, "r must be positive"),
+        ({"K": "0"}, "K must be positive"),
         ({"c_setup": "-1"}, "c_setup must be >= 0"),
-    ], ids=["u", "c_setup"])
+    ], ids=["u", "r", "K", "c_setup"])
     def test_out_of_range_value_is_config_error(self, entry, message, tmp_path, capsys):
+        # refused under the key the file gives, after the file's path
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry), encoding="utf-8")
         code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
                      "--schedule", "exp:k=2", "--config", str(cfg)])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+    def test_out_of_range_flag_names_no_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c_setup": "2"}), encoding="utf-8")
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2", "--config", str(cfg), "--c-setup", "-1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: c_setup must be >= 0\n"
 
     @pytest.mark.parametrize("entry", [{"mode": "arbitrary"},
                                        {"wait_policy": "interrupt"}],

@@ -11,8 +11,7 @@ from collidersim.harness import (AdviceLanguage, MeasurementIncomplete,
                                  membership_schedule, trinomial_probabilities)
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
                                 PrecisionMode, WaitPolicy)
-from collidersim.procedures import schedule_constant
-from collidersim.sources import from_rational
+from collidersim.sources import from_dyadic, from_rational
 
 
 class TestTrinomial:
@@ -199,12 +198,14 @@ class TestDecideMembership:
         assert slope <= 7.0
 
     def test_slow_schedule_raises_incomplete(self):
+        # a dyadic target is no encoded mass: the first midpoint 1/2 ties
+        # with it, and no budget of the membership schedule resolves a tie
         lang = hidden_bit_language("10")
-        oracle = CollisionOracle(encoded_mass(lang.f))
+        oracle = CollisionOracle(from_dyadic(Fraction(1, 2)))
         with pytest.raises(MeasurementIncomplete) as exc:
-            decide_membership(oracle, "0000", lang,
-                              schedule=schedule_constant(Fraction(1, 2)))
+            decide_membership(oracle, "0000", lang)
         assert not exc.value.report.complete
+        assert exc.value.report.timed_out_at == 1
 
 
 class TestCostSlope:

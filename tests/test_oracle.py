@@ -355,12 +355,22 @@ class TestQueryArgumentChecks:
         (PrecisionMode.ERROR_FREE, 0),
         (PrecisionMode.ERROR_FREE, Fraction(-1, 8)),
         (PrecisionMode.ARBITRARY, 0),
+        (PrecisionMode.ARBITRARY, Fraction(-1, 8)),
         (PrecisionMode.FIXED, "1/32"),
-    ], ids=["error-free-0", "error-free-negative", "arbitrary-0", "fixed-mismatch"])
+    ], ids=["error-free-0", "error-free-negative", "arbitrary-0", "arbitrary-negative",
+            "fixed-mismatch"])
     def test_rejected_epsilon(self, mode, epsilon):
         oracle = self.oracle(mode)
         with pytest.raises(ConfigError, match="epsilon"):
             oracle.query("01", 10, epsilon=epsilon)
+        assert oracle.transcript == []
+
+    @pytest.mark.parametrize("mode", [PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY],
+                             ids=str)
+    def test_float_epsilon_is_refused(self, mode):
+        oracle = self.oracle(mode)
+        with pytest.raises(TypeError):
+            oracle.query("01", 10, epsilon=0.125)
         assert oracle.transcript == []
 
     def test_error_free_ignores_a_positive_epsilon(self):
@@ -438,13 +448,13 @@ class TestBatchedQueries:
         eps = Fraction(1, 64)
         budget = Fraction(6400)
         zeta = 512
-        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY,
+        cfg = OracleConfig(mode=PrecisionMode.FIXED, epsilon=eps,
                            wait_policy=WaitPolicy.FULL_BUDGET, seed=23)
         stream_oracle = CollisionOracle(third_as_stream(), cfg)
-        b1 = stream_oracle.batch_query("01", budget, zeta, epsilon=eps)
+        b1 = stream_oracle.batch_query("01", budget, zeta)
         assert b1.engine == "per-trial"
         exact_oracle = CollisionOracle(from_rational(1, 3), cfg)
-        b2 = exact_oracle.batch_query("01", budget, zeta, epsilon=eps)
+        b2 = exact_oracle.batch_query("01", budget, zeta)
         assert b2.engine.startswith("thresholds")
         assert (b1.n_lesser, b1.n_greater, b1.n_timeout) == \
             (b2.n_lesser, b2.n_greater, b2.n_timeout)
@@ -482,9 +492,9 @@ class TestBatchedQueries:
         eps = Fraction(1, 1 << eps_bits)
         assume(0 <= z - eps and z + eps <= 1)
         budget = Fraction(*budget)
-        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY,
+        cfg = OracleConfig(mode=PrecisionMode.FIXED, epsilon=eps,
                            wait_policy=WaitPolicy.FULL_BUDGET, seed=seed)
-        batch = CollisionOracle(src, cfg).batch_query(word, budget, zeta, epsilon=eps)
+        batch = CollisionOracle(src, cfg).batch_query(word, budget, zeta)
         assert batch.engine == "thresholds-py"
         want = self.brute_counts(seed, 0, zeta, z, eps, mu, cfg.K / budget)
         assert (batch.n_lesser, batch.n_greater, batch.n_timeout) == want
@@ -506,16 +516,16 @@ class TestBatchedQueries:
         assume(0 <= z - eps and z + eps <= 1 and 0 < mu < 1)
         c = Fraction(*ru)
         budget = Fraction(b, 8) * 2 * c / eps
-        cfg = OracleConfig(mode=PrecisionMode.ARBITRARY, timing="kinematic",
+        cfg = OracleConfig(mode=PrecisionMode.FIXED, epsilon=eps, timing="kinematic",
                            flag_distance=Fraction(ru[0]), launch_speed=Fraction(ru[1]),
                            wait_policy=WaitPolicy.FULL_BUDGET, seed=seed)
         kernel = CollisionOracle(from_rational(mu.numerator, mu.denominator), cfg)
-        got = kernel.batch_query("0" + word, budget, zeta, epsilon=eps)
+        got = kernel.batch_query("0" + word, budget, zeta)
         assert got.engine == "thresholds-py"
         # the same target as a digit stream takes the certified per-trial path
         n, d = mu.numerator, mu.denominator
         stream = CollisionOracle(custom(lambda i: (n << i) // d & 1), cfg)
-        want = stream.batch_query("0" + word, budget, zeta, epsilon=eps)
+        want = stream.batch_query("0" + word, budget, zeta)
         assert want.engine == "per-trial"
         assert (got.n_lesser, got.n_greater, got.n_timeout) == \
             (want.n_lesser, want.n_greater, want.n_timeout)
@@ -525,32 +535,24 @@ class TestBatchedQueries:
         with pytest.raises(ConfigError):
             oracle.batch_query("01", 10, 4)
 
-    @pytest.mark.parametrize("eps", [Fraction(-1, 8), Fraction(0)])
     @pytest.mark.parametrize("make_source",
                              [lambda: from_rational(1, 3), third_as_stream],
                              ids=["kernel", "per-trial"])
-    def test_batch_rejects_nonpositive_epsilon(self, eps, make_source):
-        # the same argument rules as a single query, on both engines
+    def test_batch_refuses_arbitrary_mode(self, make_source):
+        # a batch takes its tolerance from the config, and ARBITRARY mode
+        # has none: refused as a query without one is, before any record
         cfg = OracleConfig(mode=PrecisionMode.ARBITRARY,
                            wait_policy=WaitPolicy.FULL_BUDGET)
         oracle = CollisionOracle(make_source(), cfg)
-        with pytest.raises(ConfigError, match="epsilon must be positive"):
-            oracle.batch_query("01", 6400, 16, epsilon=eps)
+        with pytest.raises(ConfigError, match="ARBITRARY mode needs a per-query epsilon"):
+            oracle.batch_query("01", 6400, 16)
         assert oracle.transcript == []
-
-    def test_batch_rejects_conflicting_fixed_epsilon(self):
-        cfg = OracleConfig(mode=PrecisionMode.FIXED, epsilon=Fraction(1, 64),
-                           wait_policy=WaitPolicy.FULL_BUDGET)
-        oracle = CollisionOracle(from_rational(1, 3), cfg)
-        with pytest.raises(ConfigError, match="FIXED mode pins"):
-            oracle.batch_query("01", 6400, 16, epsilon=Fraction(1, 32))
-        rec = oracle.batch_query("01", 6400, 16, epsilon=Fraction(1, 64))
-        assert rec.epsilon == Fraction(1, 64)
 
 
 class TestPerTrialBatchesMatchReferenceModel:
     """A batch on a digit-stream target counts its trials one by one, and
-    holds to the reference model's trial-by-trial count."""
+    holds to the reference model's trial-by-trial count.  A batch draws at
+    the FIXED mode tolerance, so FIXED is the mode drawn here."""
 
     @settings(max_examples=80, deadline=None)
     @given(stream=st.one_of(
@@ -560,7 +562,6 @@ class TestPerTrialBatchesMatchReferenceModel:
            timing=st.sampled_from(["protocol", "kinematic"]),
            K=st.tuples(st.integers(1, 64), st.integers(1, 64)),
            N=st.sampled_from([0, 0, 1, 16]),
-           mode=st.sampled_from([PrecisionMode.FIXED, PrecisionMode.ARBITRARY]),
            eps_bits=st.integers(1, 16),
            cap=st.one_of(st.integers(8, 64), st.just(4096)),
            seed=st.integers(0, 2**16),
@@ -573,18 +574,18 @@ class TestPerTrialBatchesMatchReferenceModel:
                             min_size=1, max_size=3))
     # the tolerance window straddles the target: both answers and timeouts
     @example(stream=("pattern", [3, 2, 4]), timing="protocol", K=(1, 1), N=1,
-             mode=PrecisionMode.ARBITRARY, eps_bits=6, cap=4096, seed=0,
+             eps_bits=6, cap=4096, seed=0,
              batches=[(8, False, 10, 1, 24)])
     # z = 1/2 arrives about 2.5 after firing at a target near 0.9: each
     # trial's own jitter in [-1, 1] decides whether it beats the budget 2
     @example(stream=("pattern", [3, 2, 4]), timing="protocol", K=(1, 1), N=16,
-             mode=PrecisionMode.FIXED, eps_bits=16, cap=4096, seed=0,
+             eps_bits=16, cap=4096, seed=0,
              batches=[(1, False, 1, 1, 24)])
-    def test_counts_match_reference_model(self, stream, timing, K, N, mode,
+    def test_counts_match_reference_model(self, stream, timing, K, N,
                                           eps_bits, cap, seed, batches):
         eps = Fraction(1, 1 << eps_bits)
         cfg = OracleConfig(K=Fraction(*K), N=Fraction(N, 16), timing=timing,
-                           mode=mode, epsilon=eps if mode is PrecisionMode.FIXED else None,
+                           mode=PrecisionMode.FIXED, epsilon=eps,
                            wait_policy=WaitPolicy.FULL_BUDGET, probe_depth_cap=cap,
                            seed=seed)
         app = reference_model.Apparatus(K=cfg.K, N=cfg.N, timing=timing,
@@ -596,8 +597,7 @@ class TestPerTrialBatchesMatchReferenceModel:
             if flip and digits:
                 digits = digits[:-1] + "10"[int(digits[-1])]
             word, budget = "0" + digits, Fraction(1 << e, q)
-            rec = oracle.batch_query(word, budget, zeta,
-                                     epsilon=eps if mode is PrecisionMode.ARBITRARY else None)
+            rec = oracle.batch_query(word, budget, zeta)
             assert rec.engine == "per-trial"
             assert (rec.n_lesser, rec.n_greater) == reference_model.batch_counts(
                 app, model_src, index, word, budget, zeta, eps)

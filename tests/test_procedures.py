@@ -186,22 +186,6 @@ class TestBisection:
         assert report.digits == "010"
 
     @pytest.mark.parametrize("mode", [PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY])
-    @pytest.mark.parametrize("tolerance, error", [(0, ConfigError),
-                                                  (Fraction(-1, 8), ConfigError),
-                                                  (0.125, TypeError)])
-    def test_stage_tolerance_is_checked_as_query_checks_it(self, mode, tolerance, error):
-        # bisection hands query the word's value but leaves the tolerance to
-        # query's checks: a bad one fails before any record, as through query
-        cfg = OracleConfig(mode=mode)
-        with pytest.raises(error):
-            CollisionOracle(from_run_lengths([3, 2, 4]), cfg).query("01", 64, tolerance)
-        oracle = CollisionOracle(from_run_lengths([3, 2, 4]), cfg)
-        with pytest.raises(error):
-            bisection(oracle, 4, schedule_exponential(1, 6),
-                      stage_tolerance=lambda stage: tolerance)
-        assert oracle.transcript == []
-
-    @pytest.mark.parametrize("mode", [PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY])
     @pytest.mark.parametrize("wait", list(WaitPolicy))
     def test_records_are_those_of_the_words_fired_as_text(self, mode, wait):
         # the value bisection hands query is the one query parses from the
