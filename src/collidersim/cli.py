@@ -89,34 +89,38 @@ def _choice(table: dict, text: str):
 
 def _resolve_config(args) -> OracleConfig:
     """Each setting from its flag, else the --config file, else the command's
-    --mode/--wait default or $CME_SEED; OracleConfig defaults the rest."""
+    --mode/--wait default or $CME_SEED; OracleConfig defaults the rest.  A
+    file's value is refused under the file's path and its key."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     fallback = {"mode": args.default_mode, "wait_policy": args.default_wait,
                 "seed": os.environ.get(SEED_ENV)}
-    given, from_file = {}, {}
+    given = {}
     for key, (flag, field, choices) in _KEYS.items():
         flagged = flag and getattr(args, flag)
         value = next((str(v) for v in (flagged, file_cfg.get(key), fallback.get(key))
                       if v is not None), None)
         if value is None:
             continue
-        if flagged is None and file_cfg.get(key) is not None:
-            from_file[field] = key
+        filed = flagged is None and file_cfg.get(key) is not None
         if key == "seed":
             try:
                 value = int(value)
             except ValueError:
-                where = f"{args.config}: seed" if "seed" in from_file else f"${SEED_ENV}"
+                where = f"{args.config}: seed" if filed else f"${SEED_ENV}"
                 raise ValueError(f"{where} must be an integer, got {value!r}") from None
-        given[field] = _choice(choices, value) if choices else value
-    try:
-        return OracleConfig(**given)
-    except ConfigError as exc:
-        # "<field> must be ...": a file's value is refused under its path and key
-        field, _, rule = str(exc).partition(" ")
-        if field not in from_file:
-            raise
-        raise ConfigError(f"{args.config}: {from_file[field]} {rule}") from None
+        try:
+            given[field] = _choice(choices, value) if choices else value
+            if filed and not choices:
+                OracleConfig(**{field: value})    # alone, so a refusal is this key's
+        except ValueError as exc:    # a ConfigError too
+            if not filed:
+                raise
+            # "<field> must be ..." reads "<key> must be ..."; any other text follows "<key>: "
+            text = str(exc)
+            head, _, rule = text.partition(" ")
+            raise ConfigError(f"{args.config}: {key} {rule}" if head == field
+                              else f"{args.config}: {key}: {text}") from None
+    return OracleConfig(**given)
 
 
 def _config_dict(cfg: OracleConfig) -> dict:

@@ -32,11 +32,8 @@ class Dyadic:
             shift = min((num & -num).bit_length() - 1, exp)
             num >>= shift
             exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
+        self.num = num
+        self.exp = exp
 
     @classmethod
     def from_fraction(cls, value) -> "Dyadic":
@@ -49,20 +46,6 @@ class Dyadic:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
-
-    def __eq__(self, other):
-        if isinstance(other, Dyadic):
-            return self.num == other.num and self.exp == other.exp
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.exp))
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
-
-    def __str__(self):
-        return f"{self.num}/2^{self.exp}" if self.exp else str(self.num)
 
 
 def to_fraction(value) -> Fraction:

@@ -194,15 +194,7 @@ def hidden_bit_language(hidden: str) -> AdviceLanguage:
     if not hidden or set(hidden) - {"0", "1"}:
         raise ValueError("hidden must be a nonempty bit string")
 
-    def fn(n: int) -> str:
-        if n < 1:
-            return ""
-        need = n.bit_length()
-        if need > len(hidden):
-            return hidden
-        return hidden[:need]
-
-    f = PrefixFunction(fn, a=1, b=1,
+    f = PrefixFunction(lambda n: hidden[:n.bit_length()], a=1, b=1,
                        stable_from=1 << (len(hidden) - 1),
                        descriptor=f"hidden[{len(hidden)} bits]")
 
@@ -217,21 +209,18 @@ def hidden_bit_language(hidden: str) -> AdviceLanguage:
 
 @dataclass
 class MembershipResult:
-    word_length: int
     accepted: bool
     advice_bits: str
-    digits_measured: int
     digits_consumed: int
     total_time: Fraction
     total_setup: Fraction
 
 
 class MeasurementIncomplete(RuntimeError):
-    """The advice measurement timed out; carries the partial report."""
+    """The advice measurement timed out; names the partial report's status."""
 
     def __init__(self, report: MeasurementReport):
         super().__init__(f"measurement stopped: {report.status()}")
-        self.report = report
 
 
 def membership_schedule(K) -> Schedule:
@@ -262,10 +251,8 @@ def decide_membership(oracle: CollisionOracle, word: str,
         raise MeasurementIncomplete(report)
     advice_bits, consumed = decode_advice(report.digits, length, a, b)
     return MembershipResult(
-        word_length=length,
         accepted=language.rule(word, advice_bits),
         advice_bits=advice_bits,
-        digits_measured=depth,
         digits_consumed=consumed,
         total_time=report.total_time,
         total_setup=report.total_setup,

@@ -44,7 +44,6 @@ from .sources import (MassSource, distance_bracket,  # noqa: F401
                       prefix_bracket, refine)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 # members read on the per-query path, where a read through the Enum class
 # costs about ten times a read of a module name
 _LESSER, _GREATER, _TIMEOUT = Outcome.LESSER, Outcome.GREATER, Outcome.TIMEOUT
@@ -55,24 +54,15 @@ class PrecisionMode(enum.Enum):
     ARBITRARY = "arbitrary"      # per-query tolerance, m* uniform in [z-eps, z+eps]
     FIXED = "fixed"              # one global tolerance for every query
 
-    def __str__(self):
-        return self.value
-
 
 class WaitPolicy(enum.Enum):
     INTERRUPT = "interrupt"      # an answer stops the clock at arrival time
     FULL_BUDGET = "full-budget"  # the clock always runs the whole budget
 
-    def __str__(self):
-        return self.value
-
 
 class TimeoutReaction(enum.Enum):
     RETURN = "return"            # timeouts come back as Outcome.TIMEOUT
     ABORT = "abort"              # timeouts raise TimeoutExceeded
-
-    def __str__(self):
-        return self.value
 
 
 _ERROR_FREE, _ARBITRARY, _FIXED = (PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY,
@@ -152,20 +142,8 @@ class OracleConfig:
             raise ConfigError("probe_depth_cap must be >= 8")
 
 
-class _Worded:
-    """A record's word is the only copy of its test mass z and of z's length."""
-
-    @property
-    def z(self) -> Fraction:
-        return Fraction(int(self.word, 2), 1 << len(self.word) - 1)
-
-    @property
-    def z_length(self) -> int:
-        return len(self.word)
-
-
 @dataclass
-class QueryRecord(_Worded):
+class QueryRecord:
     index: int
     word: str
     budget: Fraction
@@ -183,20 +161,11 @@ class QueryRecord(_Worded):
     def total_time(self) -> Fraction:
         return self.elapsed + self.setup
 
-    @property
-    def mass_interval(self) -> tuple:
-        """What the experimenter knows about the realized projectile mass:
-        a single point when error-free, the tolerance window otherwise."""
-        z = self.z
-        if self.epsilon is None:
-            return z, z
-        return max(_ZERO, z - self.epsilon), min(_ONE, z + self.epsilon)
-
     def to_dict(self) -> dict:
         d = {
             "index": self.index,
             "z": self.word,
-            "z_length": self.z_length,
+            "z_length": len(self.word),
             "budget": fraction_text(self.budget),
             "answer": str(self.outcome),
             "elapsed": fraction_text(self.elapsed),
@@ -219,7 +188,7 @@ class QueryRecord(_Worded):
 
 
 @dataclass
-class BatchRecord(_Worded):
+class BatchRecord:
     """Aggregate of zeta repetitions of one query at one budget."""
 
     index: int
@@ -242,7 +211,7 @@ class BatchRecord(_Worded):
         return {
             "index": self.index,
             "z": self.word,
-            "z_length": self.z_length,
+            "z_length": len(self.word),
             "budget": fraction_text(self.budget),
             "zeta": self.zeta,
             "answer": {
@@ -524,14 +493,15 @@ class CollisionOracle:
         d >= need = bits_above(4 law(m*, 1) 2**48 (D/a)**2) fits it inside a
         tick, and no d < bits_above(L 2**48 D / b**2) does.  The clock
         reads from the first doubling of depth_hint that can fit a tick to
-        the first that reaches both need and four times the probe cap, the
-        digit horizon; a settle read is one integer bracket, and no gap
-        becomes a Fraction.
+        the first that reaches need, where a settle cannot fail, so it needs
+        no digit horizon of its own; a settle read is one integer bracket,
+        and no gap becomes a Fraction.
 
-        Both ends are read from bit lengths, with fn/fd = law(m*, 1).  need
-        matters only past four caps, so its division runs only when its
-        upper bound bl(fn) + 2 bl(D) + 53 - bl(fd) - 2 bl(a) gets there,
-        and the horizon is the same either way.  The start is the first
+        Both ends are read from bit lengths, with fn/fd = law(m*, 1).  The
+        last doubling is the first that reaches ub = bl(fn) + 2 bl(D) + 53 -
+        bl(fd) - 2 bl(a), an upper bound on need, so need is never divided
+        out: the reads settle at or before the doubling that reaches need,
+        which is at or before the one that reaches ub.  The start is the first
         doubling that reaches skip = bl(ld L) + bl(D) - 1 + 48 - bl(ld) -
         2 bl(b), a lower bound at most 4 under the quotient's bit length:
         as depth_hint >= 8, that is the same doubling or the one before,
@@ -560,17 +530,13 @@ class CollisionOracle:
         side, a, b = prefix_bracket(prefix_int(depth_hint), mn, md, depth_hint)
         D = md << depth_hint
         fn, fd = self._law(mn, md, md)
-        horizon, bl_d = 4 * self.config.probe_depth_cap, D.bit_length()
-        if fn.bit_length() + 2 * bl_d + bits + 5 - fd.bit_length() - 2 * a.bit_length() > horizon:
-            need = ((fn * D * D << bits + 2) // (fd * a * a)).bit_length()
-            horizon = max(need, horizon)
+        bl_d = D.bit_length()
+        ub = fn.bit_length() + 2 * bl_d + bits + 5 - fd.bit_length() - 2 * a.bit_length()
         skip = (low_law(side, a, b, depth_hint).bit_length() + bl_d - 1 + bits
                 - ld.bit_length() - 2 * b.bit_length())
         start = depth_hint << ((max(skip, 1) - 1) // depth_hint).bit_length()
-        cap = depth_hint << ((horizon - 1) // depth_hint).bit_length()
+        cap = depth_hint << ((ub - 1) // depth_hint).bit_length()
         ticks, _ = refine(start, cap, settle)
-        if ticks is None:
-            raise RuntimeError("clock certification exceeded its digit horizon")
         arrival = Fraction(ticks, 1 << bits)
         return arrival + jitter if jitter else arrival
 

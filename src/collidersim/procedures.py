@@ -45,9 +45,6 @@ class Schedule:
             raise ValueError(f"schedule {self.descriptor} gave budget {value} at n={n}")
         return value
 
-    def __repr__(self):
-        return f"Schedule({self.descriptor})"
-
 
 def schedule_exponential(K, shift: int = 0) -> Schedule:
     """T(n) = K * 2**(n + shift)."""

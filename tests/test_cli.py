@@ -363,6 +363,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "'bogus'" in err and choices in err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"mode": "bogus"}, "mode: unknown choice 'bogus': expected one of "
+                            "arbitrary, error-free, errorfree, fixed"),
+        ({"K": "abc"}, "K: cannot parse rational 'abc': "
+                       "invalid literal for int() with base 10: 'abc'"),
+        ({"timing": "x"}, "timing: unknown timing 'x'"),
+    ], ids=["mode", "K", "timing"])
+    def test_unreadable_value_names_path_and_key(self, entry, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry), encoding="utf-8")
+        code = main(["measure", "--mass", "rational:1/3", "--digits", "1",
+                     "--schedule", "exp:k=2", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
     @pytest.mark.parametrize("seed", [1.5, True])
     def test_non_integer_seed_is_config_error(self, seed, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

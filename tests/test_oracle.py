@@ -108,9 +108,11 @@ class TestExactQueries:
         assert rec.elapsed == 10
 
     def test_mass_interval_error_free(self):
+        # the realized mass is the word's value: the record carries no tolerance
         oracle = CollisionOracle(from_rational(1, 3))
         rec = oracle.query("01", 10)
-        assert rec.mass_interval == (Fraction(1, 2), Fraction(1, 2))
+        assert (rec.word, rec.epsilon) == ("01", None)
+        assert "epsilon" not in rec.to_dict()
 
 
 class TestProbedQueries:
@@ -204,7 +206,7 @@ class TestNoisyModes:
             rec = oracle.query("01", 10, epsilon=eps)
             m_star = rec.hidden["m_star"]
             assert Fraction(1, 2) - eps <= m_star <= Fraction(1, 2) + eps
-            assert rec.mass_interval == (Fraction(1, 2) - eps, Fraction(1, 2) + eps)
+            assert rec.epsilon == eps
 
     def test_boundary_draw_clips_to_zero(self):
         # seed 0, stream 0: the raw draw is below half scale, so the
@@ -213,7 +215,7 @@ class TestNoisyModes:
         oracle = CollisionOracle(from_rational(1, 3), cfg)
         rec = oracle.query("0", 10, epsilon=Fraction(1, 4))
         assert rec.hidden["m_star"] == 0
-        assert rec.mass_interval == (Fraction(0), Fraction(1, 4))
+        assert rec.epsilon == Fraction(1, 4)
 
     def test_boundary_draw_clips_to_one(self):
         # seed 1, stream 0: the raw draw is above half scale, so the
@@ -223,7 +225,7 @@ class TestNoisyModes:
         oracle = CollisionOracle(from_rational(1, 3), cfg)
         rec = oracle.query("1", 10, epsilon=Fraction(1, 4))
         assert rec.hidden["m_star"] == 1
-        assert rec.mass_interval == (Fraction(3, 4), Fraction(1))
+        assert rec.epsilon == Fraction(1, 4)
 
     def test_jitter_shifts_arrival(self):
         cfg = OracleConfig(N=Fraction(1, 8), record_hidden=True, seed=3)
@@ -235,22 +237,22 @@ class TestNoisyModes:
 
 
 class TestRecordValues:
-    """A record keeps only its word: z, z_length and mass_interval are
-    read off it."""
+    """A record keeps only its word: the z and z_length it writes are read
+    off it."""
 
     @pytest.mark.parametrize("word, z", [("0", Fraction(0)), ("1", Fraction(1)),
                                          ("0100", Fraction(1, 2))])
     def test_values_of_a_word(self, word, z):
         rec = CollisionOracle(from_rational(1, 3)).query(word, 10)
-        assert (rec.z, rec.z_length, rec.mass_interval) == (z, len(word), (z, z))
+        assert word_to_dyadic(rec.word).as_fraction() == z
         assert rec.to_dict()["z"] == word and rec.to_dict()["z_length"] == len(word)
         eps = Fraction(1, 8)
         cfg = OracleConfig(mode=PrecisionMode.ARBITRARY)
         rec = CollisionOracle(from_rational(1, 3), cfg).query(word, 10, epsilon=eps)
-        assert rec.mass_interval == (max(z - eps, 0), min(z + eps, 1))
+        assert (rec.word, rec.epsilon) == (word, eps)
         batch = CollisionOracle(from_rational(1, 3), OracleConfig(
             wait_policy=WaitPolicy.FULL_BUDGET)).batch_query(word, 10, 3)
-        assert (batch.z, batch.z_length) == (z, len(word))
+        assert (batch.to_dict()["z"], batch.to_dict()["z_length"]) == (word, len(word))
 
     def test_every_record_of_an_exact_sweep(self):
         cfg = OracleConfig(wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=True)
@@ -270,8 +272,8 @@ class TestRecordValues:
             ["0" + format(p, "03b") for p in range(8)] + ["1"]
         for p, rec in enumerate(recs):
             z = Fraction(p, 8)
-            assert (rec.z, rec.z_length, rec.mass_interval) == \
-                (z, 4 if p < 8 else 1, (z, z))
+            assert (word_to_dyadic(rec.word).as_fraction(), rec.to_dict()["z_length"],
+                    rec.epsilon) == (z, 4 if p < 8 else 1, None)
             assert rec.hidden["m_star"] == z
 
     @settings(max_examples=60, deadline=None)
@@ -343,7 +345,7 @@ class TestQueryArgumentChecks:
         return CollisionOracle(from_rational(1, 3), OracleConfig(mode=mode, epsilon=eps))
 
     @pytest.mark.parametrize("budget", [0, -1, Fraction(-1, 3), "0"])
-    @pytest.mark.parametrize("mode", list(PrecisionMode), ids=str)
+    @pytest.mark.parametrize("mode", list(PrecisionMode), ids=lambda m: m.value)
     def test_nonpositive_budget(self, mode, budget):
         oracle = self.oracle(mode)
         eps = Fraction(1, 64) if mode is PrecisionMode.ARBITRARY else None
@@ -366,7 +368,7 @@ class TestQueryArgumentChecks:
         assert oracle.transcript == []
 
     @pytest.mark.parametrize("mode", [PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY],
-                             ids=str)
+                             ids=lambda m: m.value)
     def test_float_epsilon_is_refused(self, mode):
         oracle = self.oracle(mode)
         with pytest.raises(TypeError):

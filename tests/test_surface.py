@@ -25,6 +25,46 @@ def _named(tree: ast.AST) -> set:
     return names
 
 
+def _reads(tree: ast.AST):
+    """(name, node) for each read of an attribute: loaded by name, or named
+    to getattr.  A string handed to any other call may be a dict key, as in
+    the benchmark's `_pick(record, "z", ...)`, so it reads nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value, node.args[1]
+
+
+def _members(tree: ast.AST) -> dict:
+    """(class, name) -> the nodes that define the member: a def or an
+    assignment in the class body, or a method's assignment to self.name."""
+    members = {}
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                members.setdefault((cls.name, item.name), []).append(item)
+                for stmt in ast.walk(item):
+                    for target in _targets(stmt):
+                        if isinstance(target, ast.Attribute) and \
+                                getattr(target.value, "id", None) == "self":
+                            members.setdefault((cls.name, target.attr), []).append(stmt)
+            for target in _targets(item):
+                if isinstance(target, ast.Name):
+                    members.setdefault((cls.name, target.id), []).append(item)
+    return members
+
+
+def _targets(stmt: ast.AST) -> list:
+    """What an assignment statement assigns to; nothing for any other node."""
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets
+    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        return [stmt.target]
+    return []
+
+
 class _Calls(ast.NodeVisitor):
     """What every call passes, by the name it calls: (the number of
     positional arguments, the keyword names).  cls(...) calls the enclosing
@@ -142,3 +182,37 @@ class TestPublicSurface:
                             n == float("inf") or arg.arg in kws for n, kws in made):
                         unpassed.append(f"{module}.{name}({arg.arg}=)")
         assert unpassed == [], f"defaults no call passes: {', '.join(unpassed)}"
+
+    # members that no shipped code reads, kept on purpose
+    KEEP = {
+        "QueryRecord.hidden": "the draws a record_hidden oracle writes, which "
+                              "the reference model reads back",
+        "AdviceLanguage.contains": "the ground truth that decide_membership is "
+                                   "tested against",
+    }
+
+    def test_every_member_is_read(self):
+        """Every method, property, field, class attribute and self. attribute
+        of a package class, dunders excepted, is read by name, as `_reads`
+        finds one: in the package outside its own definition, or in a root.
+        A member that only tests read fails here.  A name is all the guard
+        sees, so a read of another class's member of the same name hides an
+        unread one, as `args.word_length` in the CLI hid a result field."""
+        rooted = {name for tree in self.roots() for name, _ in _reads(tree)}
+        read_at, members = {}, {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name, node in _reads(tree):
+                read_at.setdefault(name, set()).add(node)
+            for member, nodes in _members(tree).items():
+                members.setdefault(member, []).extend(nodes)
+        unread = set()
+        for (cls, name), defs in members.items():
+            if name.startswith("__") and name.endswith("__") or name in rooted:
+                continue
+            inside = {node for d in defs for node in ast.walk(d)}
+            if not read_at.get(name, set()) - inside:
+                unread.add(f"{cls}.{name}")
+        kept = set(self.KEEP)
+        assert unread == kept, (f"unread: {', '.join(sorted(unread - kept))}; "
+                                f"kept but read: {', '.join(sorted(kept - unread))}")
