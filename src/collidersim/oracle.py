@@ -26,6 +26,7 @@ non-dyadic target.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -226,6 +227,15 @@ class BatchRecord:
         }
 
 
+@functools.lru_cache(maxsize=1)    # a sweep repeats its level; keep the last one
+def _grid_words(r: int) -> tuple:
+    """The words of p/2**r for 0 <= p <= 2**r, in order."""
+    words = ["0"]
+    for _ in range(r):
+        words = [w + c for w in words for c in "01"]
+    return (*words, "1")
+
+
 class CollisionOracle:
     """Stateful query interface around one hidden mass source."""
 
@@ -315,6 +325,7 @@ class CollisionOracle:
         only be right to within one word; the rest, a grid step or more
         clear of the window, get the records `query` would append, written
         in two runs: lesser below the window, greater above it.
+        A process builds a level's words once and keeps the last level's.
         """
         n, cfg, exact = 1 << r, self.config, self.source.exact_value
         a, b = 0, n + 1
@@ -324,10 +335,7 @@ class CollisionOracle:
             first = min(max(-((-lo << r) // lo_d), 0), n + 1)
             end = n + 1 if hi is None else min(max((hi[0] << r) // hi[1] + 1, 0), n + 1)
             a, b = max(first - 1, 0), min(end, n) + 1
-        words = ["0"]
-        for _ in range(r):
-            words = [w + c for w in words for c in "01"]
-        words.append("1")
+        words = _grid_words(r)
         transcript, setup = self.transcript, self._setup_cost(r + 1)
         start = len(transcript)
         transcript.extend([QueryRecord(i, word, budget, _LESSER, budget, setup)

@@ -278,17 +278,21 @@ class TestRecordValues:
 
     @settings(max_examples=60, deadline=None)
     @given(before=st.lists(st.sampled_from(["0", "01", "0011", "1"]), max_size=3),
-           r=st.integers(1, 5), p=st.integers(0, 32),
+           r0=st.integers(1, 5), r=st.integers(1, 5), p=st.integers(0, 32),
            place=st.sampled_from(["lo", "hi", "grid"]),
            ulps=st.sampled_from([-1, 0, 1]), hidden=st.booleans(), abort=st.booleans())
     # the word "1" (p = 2**r) sits on the timeout window's edge, then inside it
-    @example(before=["01"], r=3, p=8, place="hi", ulps=0, hidden=True, abort=False)
-    @example(before=["01", "1"], r=2, p=4, place="grid", ulps=0, hidden=True, abort=True)
-    def test_sweep_writes_the_records_query_would(self, before, r, p, place, ulps,
+    @example(before=["01"], r0=2, r=3, p=8, place="hi", ulps=0, hidden=True, abort=False)
+    @example(before=["01", "1"], r0=2, r=2, p=4, place="grid", ulps=0, hidden=True,
+             abort=True)
+    def test_sweep_writes_the_records_query_would(self, before, r0, r, p, place, ulps,
                                                   hidden, abort):
         """After earlier records, a sweep appends 2**r + 1 records with
         consecutive indices, equal to those of firing each word through
-        `query`, with the same hidden values."""
+        `query`, with the same hidden values.  Another oracle sweeps level
+        r0 just before, so the sweep follows one of another level or its
+        own."""
+        CollisionOracle(from_rational(1, 3)).fire_grid(r0, Fraction(1 << (2 * r0 + 1)))
         budget = Fraction(1 << (2 * r + 1))
         g, window = Fraction(p % ((1 << r) + 1), 1 << r), 1 / budget
         mu = g + {"lo": window, "hi": -window, "grid": 0}[place] + Fraction(ulps, 1 << 64)
@@ -313,6 +317,8 @@ class TestRecordValues:
                 pass
         assert [rec.index for rec in recs] == \
             list(range(len(before), len(before) + (1 << r) + 1))
+        assert [rec.word for rec in recs] == \
+            ["0" + format(q, f"0{r}b") for q in range(1 << r)] + ["1"]
         assert [(rec, rec.hidden) for rec in swept.transcript] == \
             [(rec, rec.hidden) for rec in queried.transcript]
 
