@@ -1,4 +1,4 @@
-"""Query words, their canonical dyadic values, and exact numeric helpers.
+"""Query words, their dyadic values, and exact numeric helpers.
 
 Test masses are set by finite binary words.  A word is either the single
 bit "1" (denoting mass 1) or starts with "0", in which case the remaining
@@ -7,7 +7,7 @@ bits are a plain binary fraction: bit i of the word carries weight
 length of a word but not its value; length is what timing budgets are
 keyed on, so the two are carried separately everywhere.
 
-A `Dyadic` is a value record, num / 2**exp in canonical form; exact
+A `Dyadic` is a value record, num / 2**exp as a word spells it; exact
 arithmetic on values is done in `Fraction` or in plain integers.
 """
 
@@ -17,32 +17,14 @@ from fractions import Fraction
 
 
 class Dyadic:
-    """num / 2**exp in canonical form: exp >= 0 and num odd unless zero."""
+    """num / 2**exp with exp >= 0, unreduced: 4/8 stays (4, 3)."""
 
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        if num == 0:
-            exp = 0
-        else:
-            # strip trailing zero bits, at most exp of them
-            shift = min((num & -num).bit_length() - 1, exp)
-            num >>= shift
-            exp -= shift
-        self.num = num
-        self.exp = exp
-
-    @classmethod
-    def from_fraction(cls, value) -> "Dyadic":
-        f = Fraction(value)
-        den = f.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ValueError(f"{f} is not dyadic (denominator {den})")
-        return cls(f.numerator, exp)
+        if exp < 0:  # a mass file's exp= may be negative
+            num, exp = num << -exp, 0
+        self.num, self.exp = num, exp
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)

@@ -201,8 +201,8 @@ class BatchRecord:
     n_timeout: int
     elapsed_total: Fraction
     setup_total: Fraction
-    epsilon: Optional[Fraction] = None
-    engine: str = "thresholds"
+    epsilon: Optional[Fraction]
+    engine: str
 
     @property
     def total_time(self) -> Fraction:
@@ -288,8 +288,8 @@ class CollisionOracle:
         Under TimeoutReaction.ABORT a timeout still appends its record
         before raising, so aborted transcripts stay complete.  Inside the
         package a caller that built the word itself may pass its value as
-        _z, the canonical pair (num, 2**exp) that `_resolve` would parse
-        from it; the budget and epsilon are checked all the same.
+        _z, a pair (num, 2**exp) of the value `_resolve` would parse from
+        it, reduced or not; the budget and epsilon are checked all the same.
         """
         cfg = self.config
         z, budget, epsilon = self._resolve(word, budget, epsilon, _z)
@@ -366,8 +366,8 @@ class CollisionOracle:
     def _resolve(self, word: str, budget, epsilon, z=None):
         """Checked (z, budget, epsilon) of a query, shared by both query kinds.
 
-        z is the word's value as the canonical integer pair (num, 2**exp),
-        parsed from the word unless the caller gives it.  The returned
+        z is the unreduced integer pair (num, 2**exp) the word spells,
+        parsed from it unless the caller gives it.  The returned
         epsilon is the tolerance the draws use.  FIXED mode pins the
         global one; ARBITRARY mode needs a positive per-query one;
         ERROR_FREE refuses a given epsilon <= 0 and otherwise returns None.

@@ -12,7 +12,7 @@ be checked against transcripts rather than against formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
@@ -159,8 +159,8 @@ class MeasurementReport:
     timed_out_at: Optional[int]
     total_time: Fraction
     total_setup: Fraction
-    stage_elapsed: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    stage_elapsed: list
+    details: dict
 
     @property
     def complete(self) -> bool:

@@ -194,8 +194,10 @@ class _CustomSource(MassSource):
 
 
 def from_dyadic(value) -> MassSource:
-    d = value if isinstance(value, Dyadic) else Dyadic.from_fraction(value)
-    return _ExactSource(d.as_fraction(), "dyadic")
+    f = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
+    if f.denominator & (f.denominator - 1):  # not a power of two
+        raise ValueError(f"{f} is not dyadic (denominator {f.denominator})")
+    return _ExactSource(f, "dyadic")
 
 
 def from_rational(p: int, q: int) -> MassSource:

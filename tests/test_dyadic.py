@@ -8,21 +8,23 @@ from hypothesis import strategies as st
 
 from collidersim.dyadic import (Dyadic, bits_above, fraction_text, to_fraction,
                                 validate_word, word_to_dyadic)
+from collidersim.sources import from_dyadic
 
 
-def value(word: str) -> tuple:
-    """(num, exp) of a word's canonical value."""
-    d = word_to_dyadic(word)
-    return d.num, d.exp
+def value(word: str) -> Fraction:
+    """The value a word spells."""
+    return word_to_dyadic(word).as_fraction()
 
 
 class TestCanonicalForm:
-    def test_reduces_even_numerators(self):
-        d = Dyadic(6, 3)
-        assert (d.num, d.exp) == (3, 2)
+    """The record's one normal form is exp >= 0; otherwise it keeps the
+    pair it is given, and only its value is compared."""
 
-    def test_zero_normalizes_exponent(self):
-        assert (Dyadic(0, 7).num, Dyadic(0, 7).exp) == (0, 0)
+    def test_keeps_the_pair_it_is_given(self):
+        d = Dyadic(6, 3)
+        assert (d.num, d.exp) == (6, 3)
+        assert d.as_fraction() == Fraction(3, 4)
+        assert Dyadic(0, 7).as_fraction() == 0
 
     def test_negative_exponent_scales_up(self):
         d = Dyadic(3, -2)
@@ -32,16 +34,11 @@ class TestCanonicalForm:
            k=st.integers(0, 600))
     @example(num=1 << 400, exp=500, k=0)
     @example(num=-12, exp=1, k=3)
-    def test_trailing_zero_bits_are_stripped(self, num, exp, k):
+    def test_trailing_zero_bits_keep_the_value(self, num, exp, k):
         d = Dyadic(num, exp)
         wide = Dyadic(num << k, exp + k)
-        assert (wide.num, wide.exp) == (d.num, d.exp)
-        assert Fraction(d.num, 1 << d.exp) == num * Fraction(2) ** -exp
-        assert d.exp >= 0 and (d.exp == 0 or d.num % 2 == 1)
-
-    def test_from_fraction_rejects_one_third(self):
-        with pytest.raises(ValueError):
-            Dyadic.from_fraction(Fraction(1, 3))
+        assert wide.as_fraction() == d.as_fraction() == num * Fraction(2) ** -exp
+        assert d.exp >= 0
 
     def test_round_trip_fraction(self):
         rnd = random.Random(11)
@@ -49,16 +46,16 @@ class TestCanonicalForm:
             exp = rnd.randrange(0, 40)
             num = rnd.randrange(0, (1 << exp) + 1)
             d = Dyadic(num, exp)
-            back = Dyadic.from_fraction(d.as_fraction())
-            assert (back.num, back.exp) == (d.num, d.exp)
+            assert from_dyadic(d.as_fraction()).exact_value == d.as_fraction()
+            assert from_dyadic(d).exact_value == d.as_fraction()
 
 
 class TestWords:
     def test_word_values(self):
-        assert value("1") == (1, 0)
-        assert value("0") == (0, 0)
-        assert value("011") == (3, 2)
-        assert value("0101") == (5, 3)
+        assert value("1") == 1
+        assert value("0") == 0
+        assert value("011") == Fraction(3, 4)
+        assert value("0101") == Fraction(5, 8)
 
     def test_one_must_stand_alone(self):
         with pytest.raises(ValueError):
@@ -87,13 +84,13 @@ class TestWords:
 
     def test_mass_one_cannot_pad(self):
         # "1" is the only word of mass 1; a padded "10" is not a word
-        assert value("1") == (1, 0)
+        assert value("1") == 1
         with pytest.raises(ValueError):
             word_to_dyadic("10")
 
     def test_padding_preserves_value(self):
         # trailing zeros lengthen a word without moving its mass
-        assert value("01000") == value("01") == (1, 1)
+        assert value("01000") == value("01") == Fraction(1, 2)
 
     # words of the language 0[01]*|1, 1 to 600 bits long
     @given(st.builds(lambda n, bits: "0" + (format(bits % (1 << n), f"0{n}b") if n else ""),
@@ -108,7 +105,7 @@ class TestWords:
         d = word_to_dyadic(word)
         assert d.as_fraction() == sum(
             (Fraction(int(b), 2 ** (i - 1)) for i, b in enumerate(word, 1)), Fraction(0))
-        assert d.num % 2 == 1 or (d.num, d.exp) == (0, 0)
+        assert (d.num, d.exp) == (int(word, 2), len(word) - 1)
 
     def test_natural_length_is_exponent_plus_one(self):
         # bisection stage i fires "0" + (i - 1 digits) + "1": an odd

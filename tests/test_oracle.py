@@ -883,6 +883,50 @@ class TestCellCutoffsMatchArrivalBounds:
             assert got == want
 
 
+class TestUnreducedWordValues:
+    """A word is decided as the unreduced pair (int(word, 2), 2**(len - 1))
+    its digits spell: trailing zeros change the pair but not the record,
+    which equals the one its reduced pair, passed as _z, appends."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(target=st.one_of(
+               st.tuples(st.just("pattern"),
+                         st.lists(st.integers(1, 6), min_size=1, max_size=5)),
+               st.integers(1, 96).flatmap(
+                   lambda q: st.tuples(st.just("rational"), st.integers(0, q), st.just(q)))),
+           timing=st.sampled_from(["protocol", "kinematic"]),
+           wait=st.sampled_from(list(WaitPolicy)),
+           N=st.sampled_from([0, 1]),
+           arbitrary=st.booleans(),
+           eps_bits=st.integers(1, 60),
+           seed=st.integers(0, 2**16),
+           # (digits, zeros, e, q): the word "0" + digits + zeros trailing
+           # zeros at the budget 2**e / q
+           queries=st.lists(st.tuples(st.text("01", max_size=12), st.integers(1, 6),
+                                      st.integers(0, 40), st.integers(1, 15)),
+                            min_size=1, max_size=4))
+    def test_trailing_zeros_decide_like_the_reduced_pair(self, target, timing, wait, N,
+                                                         arbitrary, eps_bits, seed, queries):
+        def source():
+            if target[0] == "pattern":
+                return from_run_lengths(target[1])
+            return from_rational(target[1], target[2])
+
+        cfg = OracleConfig(N=Fraction(N, 16), timing=timing, wait_policy=wait, seed=seed,
+                           mode=PrecisionMode.ARBITRARY if arbitrary
+                           else PrecisionMode.ERROR_FREE, record_hidden=True)
+        eps = Fraction(1, 1 << eps_bits) if arbitrary else None
+        spelled, reduced = CollisionOracle(source(), cfg), CollisionOracle(source(), cfg)
+        for digits, zeros, e, q in queries:
+            word, budget = "0" + digits + "0" * zeros, Fraction(1 << e, q)
+            z = Fraction(int(word, 2), 1 << (len(word) - 1))
+            a = spelled.query(word, budget, eps)
+            b = reduced.query(word, budget, eps, _z=(z.numerator, z.denominator))
+            assert (a.outcome, a.elapsed, a.setup, a.probe_depth, a.hidden) == \
+                (b.outcome, b.elapsed, b.setup, b.probe_depth, b.hidden)
+        assert spelled.transcript == reduced.transcript
+
+
 class TestStreamQueriesMatchReferenceModel:
     """Queries on digit-stream targets decide, bill and draw like the
     Fraction transcription in tests/reference_model.py, record by record."""

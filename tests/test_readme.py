@@ -1,4 +1,5 @@
 import doctest
+import shlex
 from pathlib import Path
 
 from collidersim.cli import main
@@ -23,3 +24,20 @@ def test_config_file_example_loads(tmp_path, capsys):
     code = main(["estimate", "--mass", "rational:1/3", "--k", "1", "--config", str(path)])
     assert capsys.readouterr().err == ""
     assert code == 0
+
+
+def test_shell_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
+    # every collidersim line of the CLI examples, the advice one reading the
+    # Advice tables section's example table as table.tsv
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    table = text.split("### Advice tables", 1)[1].split("```\n", 2)[1]
+    (tmp_path / "table.tsv").write_text(table, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for line in block.splitlines():
+        if line.startswith("collidersim "):
+            codes.append(main(shlex.split(line)[1:]))
+            assert capsys.readouterr().err == ""
+    # the adversarial mass defeats its schedule: the measurement times out
+    assert codes == [0, 0, 3, 0, 0]

@@ -81,6 +81,10 @@ class TestDigitStreams:
         with pytest.raises(ValueError):
             from_rational(4, 3)
 
+    def test_from_dyadic_rejects_one_third(self):
+        with pytest.raises(ValueError, match=r"^1/3 is not dyadic \(denominator 3\)$"):
+            from_dyadic(Fraction(1, 3))
+
 
 class TestRunLengths:
     def test_cumulative_positions(self):
