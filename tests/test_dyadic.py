@@ -23,8 +23,14 @@ class TestCanonicalForm:
     def test_keeps_the_pair_it_is_given(self):
         d = Dyadic(6, 3)
         assert (d.num, d.exp) == (6, 3)
-        assert d.as_fraction() == Fraction(3, 4)
-        assert Dyadic(0, 7).as_fraction() == 0
+
+    def test_reduces_even_numerators(self):
+        assert Dyadic(6, 3).as_fraction() == Fraction(3, 4)
+        assert value("0110") == Fraction(3, 4)
+
+    def test_zero_normalizes_exponent(self):
+        assert Dyadic(0, 7).as_fraction() == Dyadic(0, 0).as_fraction() == 0
+        assert value("0000000") == 0
 
     def test_negative_exponent_scales_up(self):
         d = Dyadic(3, -2)
