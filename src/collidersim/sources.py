@@ -1,20 +1,18 @@
 """Unknown masses as lazy binary digit streams.
 
-The simulator never holds "the real number mu"; it holds a source that
-can produce any requested digit of the canonical binary expansion of a
-value in [0, 1] (canonical: dyadic values take the terminating form, so
-no stream has an eventually-all-ones tail).  Everything downstream that
-needs to compare a test mass against mu does so through certified
-prefix brackets: after reading d digits the source's value is pinned to
-[p/2^d, (p+1)/2^d), and distances derived from that interval are exact
-rationals that are sound no matter what the unread tail does.
-
-That discipline is what makes timing questions decidable: a timeout
-verdict is issued only once the examined prefix proves the distance is
-too small, never from a floating-point shortcut.
+The simulator never holds "the real number mu"; it holds a source whose
+one job is prefix_int(d): the first d digits of the canonical binary
+expansion of a value in [0, 1] (dyadic values take the terminating form,
+so no stream has an eventually-all-ones tail) as one integer p, which
+pins the value to [p/2^d, (p+1)/2^d).  Exact values and periodic
+patterns read p in closed form, and an affine image settles a whole
+prefix from one read of its source.  Distances derived from a prefix are
+exact rationals, sound whatever the unread tail does, so a timeout
+verdict is issued only once the examined prefix proves the distance too
+small, never from a floating-point shortcut.
 
 `refine` is the one deepening rule: every certified verdict (an oracle
-answer or timeout, a clock reading, a digit of an affine image) reads a
+answer or timeout, a clock reading, a prefix of an affine image) reads a
 prefix, and doubles its depth until the prefix settles the question or
 a digit horizon is reached.
 """
@@ -22,6 +20,8 @@ a digit horizon is reached.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from math import lcm
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .dyadic import Dyadic, bits_above, to_fraction
@@ -43,26 +43,31 @@ class RunLengths:
         self._u: list[int] = []
         self._a: list[int] = []
         self.descriptor = descriptor
+        # (P, L) when the digits repeat: P before the period, L in it
+        self.period: Optional[tuple[int, int]] = None
 
     @classmethod
     def from_list(cls, values: Sequence[int], tail: str = "repeat-last") -> "RunLengths":
         values = list(values)
         if not values:
             raise ValueError("run-length list is empty")
-        if tail == "repeat-last":
-            tail_fn = lambda k: values[-1]
-        elif tail == "cycle":
-            tail_fn = lambda k: values[(k - 1) % len(values)]
+        if tail == "cycle":
+            pre, cycle = [], values
+        elif tail == "repeat-last":
+            pre, cycle = values, values[-1:]
         elif tail.startswith("constant:"):
-            c = int(tail.split(":", 1)[1])
-            tail_fn = lambda k: c
+            pre, cycle = values, [int(tail.split(":", 1)[1])]
         else:
             raise ValueError(f"unknown tail generator {tail!r}")
 
         def u_func(k: int) -> int:
-            return values[k - 1] if k <= len(values) else tail_fn(k)
+            return pre[k - 1] if k <= len(pre) else cycle[(k - len(pre) - 1) % len(cycle)]
 
-        return cls(u_func, descriptor=f"list={','.join(map(str, values))} tail={tail}")
+        runs = cls(u_func, descriptor=f"list={','.join(map(str, values))} tail={tail}")
+        if values[0] >= 0 and min(values[1:] + cycle) >= 1:
+            # the symbols alternate, so an odd cycle of runs spells its digits twice
+            runs.period = sum(pre), sum(cycle) << (len(cycle) & 1)
+        return runs
 
     def u(self, k: int) -> int:
         if k < 1:
@@ -73,10 +78,8 @@ class RunLengths:
     def a(self, k: int) -> int:
         if k < 0:
             raise ValueError("a(k) defined for k >= 0")
-        if k == 0:
-            return 0
         self._extend(k)
-        return self._a[k - 1]
+        return self._a[k - 1] if k else 0
 
     def _extend(self, k: int) -> None:
         while len(self._u) < k:
@@ -92,12 +95,12 @@ class RunLengths:
 
 
 class MassSource:
-    """Base digit stream.
+    """Base digit stream: its one job is prefix_int.
 
-    A source holds the digits read so far as one prefix int and extends
-    it a block at a time through _block, which subclasses implement.  A
-    source whose value is known exactly reads every prefix in closed
-    form instead.
+    Exact values (rational, dyadic, stable advice, affine images of these)
+    read every prefix in closed form, as periodic patterns do past one
+    period.  Other sources keep the digits read as one int that _read
+    extends, by default with _block(start, depth): 0/1 digits after `start`.
     """
 
     kind = "abstract"
@@ -108,11 +111,6 @@ class MassSource:
         self.run_lengths = run_lengths
         self._prefix = 0  # the first _depth digits
         self._depth = 0
-
-    def _block(self, start: int, depth: int) -> str:
-        """The next one or more digits after digit `start`, as a 0/1
-        string, in a read towards `depth`."""
-        raise NotImplementedError
 
     def digit_at(self, n: int) -> int:
         if n < 1:
@@ -127,22 +125,23 @@ class MassSource:
             v = self.exact_value
             return (v.numerator << depth) // v.denominator
         if self._depth < depth:
-            # one shift of the prefix per read, not per block: blocks can be
-            # a few digits long, and a shift per block is quadratic in depth
-            blocks = []
-            n = self._depth
-            while n < depth:
-                blocks.append(self._block(n, depth))
-                n += len(blocks[-1])
-            self._prefix = (self._prefix << (n - self._depth)) | int("".join(blocks), 2)
-            self._depth = n
+            self._prefix, self._depth = self._read(depth)
         return self._prefix >> (self._depth - depth)
+
+    def _read(self, depth: int) -> tuple[int, int]:
+        """A prefix of `depth` or more digits, with its length: one shift per
+        read, not per block, as a shift per short block is quadratic."""
+        blocks = []
+        n = self._depth
+        while n < depth:
+            blocks.append(self._block(n, depth))
+            n += len(blocks[-1])
+        return (self._prefix << (n - self._depth)) | int("".join(blocks), 2), n
 
     def interval(self, depth: int) -> tuple[Fraction, Fraction]:
         """Half-open [lo, hi) of width 2**-depth containing the value."""
         p = self.prefix_int(depth)
-        lo = Fraction(p, 1 << depth)
-        return lo, lo + Fraction(1, 1 << depth)
+        return Fraction(p, 1 << depth), Fraction(p + 1, 1 << depth)
 
     def describe(self) -> dict:
         d = {"kind": self.kind}
@@ -168,6 +167,20 @@ class _PatternSource(MassSource):
         super().__init__(run_lengths=runs)
         self._run = 0   # the run the last block came from
         self._left = 0  # its digits not read yet
+        self._pq: Optional[tuple[int, int]] = None   # a periodic value, once read
+
+    def _read(self, depth: int) -> tuple[int, int]:
+        period = self.run_lengths.period
+        if period is None or depth <= sum(period):
+            return super()._read(depth)
+        if self._pq is None:
+            # P digits A, then L period digits B: the value p/q is
+            # (A (2^L - 1) + B) / (2^P (2^L - 1)), and A (2^L - 1) + B = x - A
+            P, L = period
+            x = super().prefix_int(P + L)   # block reads, as depth <= P + L
+            self._pq = x - (x >> L), ((1 << L) - 1) << P
+        p, q = self._pq
+        return (p << depth) // q, depth
 
     def _block(self, start: int, depth: int) -> str:
         while not self._left:
@@ -180,9 +193,10 @@ class _PatternSource(MassSource):
 
 
 class _CustomSource(MassSource):
-    def __init__(self, digit_fn: Callable[[int], int], kind: str):
+    kind = "custom"
+
+    def __init__(self, digit_fn: Callable[[int], int]):
         super().__init__()
-        self.kind = kind
         self._fn = digit_fn
 
     def _block(self, start: int, depth: int) -> str:
@@ -191,6 +205,41 @@ class _CustomSource(MassSource):
         if b not in (0, 1):
             raise ValueError(f"digit stream produced {b!r}")
         return "01"[b]
+
+
+class _AffineSource(MassSource):
+    """off + sc * mu for a source mu known only by its digits.  Over a
+    common denominator, off = a/D and sc = b/D, and a depth-d prefix P of
+    mu puts the image in [a 2^d + b P, a 2^d + b P + b) / (D 2^d)."""
+
+    kind = "affine"
+
+    def __init__(self, off: Fraction, sc: Fraction, src: MassSource):
+        super().__init__()
+        D = lcm(off.denominator, sc.denominator)
+        self._a, self._b, self._den, self._src = int(off * D), int(sc * D), D, src
+
+    def _cell(self, d: int) -> int:
+        """Low end of the image from a depth-d prefix, over D 2^d."""
+        lo = (self._a << d) + self._b * self._src.prefix_int(d)
+        if lo < 0 or lo + self._b > self._den << d:
+            raise ValueError("affine image leaves [0, 1]")
+        return lo
+
+    def _read(self, depth: int) -> tuple[int, int]:
+        if not self._depth:   # the widest cell any read checks: refusals are depth-blind
+            self._cell(3)
+
+        def settle(d: int) -> Optional[int]:
+            # both ends in one 2^-depth cell, which the open upper end may close
+            lo, cell = self._cell(d), self._den << (d - depth)
+            return lo // cell if lo % cell + self._b <= cell else None
+
+        p, _ = refine(depth + 2, max(depth + 2, 1 << 20), settle)
+        if p is None:
+            raise RuntimeError("affine digit did not settle within 2**20 source "
+                               "digits; the image may be dyadic")
+        return p, depth
 
 
 def from_dyadic(value) -> MassSource:
@@ -207,13 +256,11 @@ def from_rational(p: int, q: int) -> MassSource:
 
 
 def from_run_lengths(runs) -> MassSource:
-    if not isinstance(runs, RunLengths):
-        runs = RunLengths.from_list(list(runs))
-    return _PatternSource(runs)
+    return _PatternSource(runs if isinstance(runs, RunLengths) else RunLengths.from_list(runs))
 
 
 def custom(digit_fn: Callable[[int], int]) -> MassSource:
-    return _CustomSource(digit_fn, "custom")
+    return _CustomSource(digit_fn)
 
 
 def run_length_blocks(bits: str) -> list[int]:
@@ -221,18 +268,8 @@ def run_length_blocks(bits: str) -> list[int]:
     prefix horizon, so a continuation may always extend it."""
     if not bits or set(bits) - {"0", "1"}:
         raise ValueError("need a nonempty 0/1 prefix")
-    blocks = []
-    current = "1"
-    count = 0
-    for b in bits:
-        if b == current:
-            count += 1
-        else:
-            blocks.append(count)
-            current = b
-            count = 1
-    blocks.append(count)
-    return blocks
+    blocks = [len(list(run)) for _, run in groupby(bits)]
+    return [0] + blocks if bits[0] == "0" else blocks   # u_1 counts ones
 
 
 def refine(depth: int, cap: int,
@@ -274,9 +311,7 @@ def distance_bracket(src: MassSource, m, depth: int) -> tuple[Fraction, Fraction
     """Certified closed bracket A <= |m - mu| <= B from a depth-d prefix,
     with side as in prefix_bracket."""
     mf = to_fraction(m)
-    lo, _ = src.interval(depth)
-    p = (lo.numerator << depth) // lo.denominator  # lo = p / 2**depth
-    side, a, b = prefix_bracket(p, mf.numerator, mf.denominator, depth)
+    side, a, b = prefix_bracket(src.prefix_int(depth), mf.numerator, mf.denominator, depth)
     D = mf.denominator << depth
     return Fraction(a, D), Fraction(b, D), side
 
@@ -338,9 +373,9 @@ def adversarial_mass(budget_fn: Callable[[int], Fraction], K,
 
 def affine_of_source(offset, scale, src: MassSource) -> MassSource:
     """Digits of offset + scale * mu: read from the exact image when mu is
-    known exactly, otherwise refined from the digits of mu.
+    known exactly, otherwise refined from integer prefixes of mu.
 
-    offset and scale must be dyadic and the image must stay inside [0, 1].
+    offset and scale are rationals, and the image must stay inside [0, 1].
     Used to place an encoded parameter inside a fixed-precision window.
     """
     off = to_fraction(offset)
@@ -351,26 +386,7 @@ def affine_of_source(offset, scale, src: MassSource) -> MassSource:
         # a dyadic image of a non-dyadic source sits on a cell boundary
         # that no finite prefix of the source settles
         return _ExactSource(off + sc * src.exact_value, "affine")
-
-    def digit_fn(n: int) -> int:
-        def settle(depth: int) -> Optional[int]:
-            lo, hi = src.interval(depth)
-            a = off + sc * lo
-            b = off + sc * hi
-            if not (0 <= a and b <= 1):
-                raise ValueError("affine image leaves [0, 1]")
-            bit_a = (a.numerator << n) // a.denominator
-            # strict upper endpoint: subtract nothing, compare floor cells
-            bit_b = ((b.numerator << n) - 1) // b.denominator if b > a else bit_a
-            return bit_a & 1 if bit_a == bit_b else None
-
-        bit, _ = refine(n + 2, max(n + 2, 1 << 20), settle)
-        if bit is None:
-            raise RuntimeError("affine digit did not settle within 2**20 source "
-                               "digits; the image may be dyadic")
-        return bit
-
-    return _CustomSource(digit_fn, "affine")
+    return _AffineSource(off, sc, src)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,13 @@ class TestMeasure:
         assert code == EXIT_CONFIG
         assert "not dyadic" in capsys.readouterr().err
 
+    def test_pattern_repeating_an_empty_run_is_config_error(self, capsys):
+        # the cycle repeats the empty leading run as run 3, after two digits
+        code = main(["measure", "--mass", "pattern:0,2;tail=cycle", "--digits", "6",
+                     "--schedule", "exp:k=6"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: u_3 must be >= 1, got 0\n"
+
     def test_adversarial_mass_needs_schedule_context(self, capsys):
         code = main(["measure", "--mass", "adversarial:u1=4",
                      "--procedure", "grid", "--level", "2", "--wait", "full"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from collidersim.dyadic import Dyadic
 from collidersim.sources import (RunLengths, adversarial_mass,
-                                 affine_of_source, diagonal_run_lengths,
+                                 affine_of_source, custom, diagonal_run_lengths,
                                  distance_bracket, from_dyadic, from_rational,
                                  from_run_lengths, load_mass_file,
                                  parse_mass_spec, refine, run_length_blocks)
@@ -35,6 +35,47 @@ def pattern_reference(values, tail, depth):
             u = int(tail.split(":")[1])
         out += str(k % 2) * u
     return out[:depth]
+
+
+def period_edge(values, tail):
+    """Digits in the preperiod and one period of a periodic run list: the
+    symbols alternate, so an odd cycle of runs spells its digits twice."""
+    if tail == "cycle":
+        return sum(values) << (len(values) & 1)
+    c = values[-1] if tail == "repeat-last" else int(tail.split(":")[1])
+    return sum(values) + 2 * c
+
+
+def affine_reference(off, sc, src, depth):
+    """First `depth` digits of off + sc * mu as an integer, each digit
+    settled on its own from the Fraction bracket of a prefix of mu."""
+    out = 0
+    for n in range(1, depth + 1):
+        cap = max(n + 2, 1 << 20)
+        d = n + 2
+        while True:
+            lo = Fraction(src.prefix_int(d), 1 << d)
+            a = off + sc * lo
+            b = a + sc / (1 << d)
+            if not (0 <= a and b <= 1):
+                raise ValueError("affine image leaves [0, 1]")
+            bit_a = (a.numerator << n) // a.denominator
+            bit_b = ((b.numerator << n) - 1) // b.denominator
+            if bit_a == bit_b:
+                out = out << 1 | bit_a & 1
+                break
+            if d >= cap:
+                raise RuntimeError("affine digit did not settle within 2**20 source "
+                                   "digits; the image may be dyadic")
+            d = min(2 * d, cap)
+    return out
+
+
+def outcome(read, depth):
+    try:
+        return read(depth)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
 
 
 class TestDigitStreams:
@@ -108,6 +149,20 @@ class TestRunLengths:
         with pytest.raises(ValueError):
             RunLengths.from_list([3, 0, 2]).a(3)
 
+    @pytest.mark.parametrize("values, tail, good", [
+        ([0, 2], "cycle", 2),        # the cycle repeats the empty first run
+        ([2, 3], "constant:0", 5),   # the tail repeats an empty run
+    ])
+    def test_a_tail_repeating_an_empty_run_fails_at_its_digit(self, values, tail, good):
+        src = from_run_lengths(RunLengths.from_list(values, tail=tail))
+        assert src.prefix_int(good) == int(pattern_reference(values, tail, good), 2)
+        for depth in (good + 1, 4 * good + 8):
+            with pytest.raises(ValueError, match=r"^u_3 must be >= 1, got 0$"):
+                src.prefix_int(depth)
+        deep = from_run_lengths(RunLengths.from_list(values, tail=tail))
+        with pytest.raises(ValueError, match=r"^u_3 must be >= 1, got 0$"):
+            deep.prefix_int(64)
+
     def test_pattern_digits_alternate_by_block(self):
         src = from_run_lengths([2, 3, 1])
         # blocks: 11 000 1, then repeat-last tail 0 1 0 ...
@@ -153,11 +208,47 @@ class TestRunLengths:
         fresh = from_run_lengths(RunLengths.from_list(values, tail=tail))
         assert digits_of(fresh, 96) == ref
 
+    @settings(max_examples=200, deadline=None)
+    @given(u1=st.integers(0, 5), later=st.lists(st.integers(1, 6), max_size=4),
+           tail=st.sampled_from(["repeat-last", "cycle", "constant:1", "constant:3"]),
+           data=st.data())
+    @example(u1=1, later=[], tail="cycle", data=None)
+    @example(u1=0, later=[2, 1, 3], tail="constant:1", data=None)
+    def test_periodic_reads_match_digit_by_digit_reference(self, u1, later, tail, data):
+        values = [u1] + later
+        assume(u1 or (later and tail != "cycle"))
+        pre = 0 if tail == "cycle" else sum(values)
+        edge = period_edge(values, tail)
+        top = 4 * edge + 8
+        ref = pattern_reference(values, tail, top)
+        near = sorted({e + d for e in (pre, edge, 2 * edge - pre, 4 * edge - 3 * pre)
+                       for d in (-1, 0, 1) if 0 <= e + d <= top})
+        if data is None:  # past the period first, then inside it, then deeper
+            reads = [edge + 1, 1, edge, top]
+        else:
+            depth = st.one_of(st.sampled_from(near), st.integers(0, top))
+            reads = data.draw(st.lists(depth, min_size=1, max_size=6)) + [top]
+        src = from_run_lengths(RunLengths.from_list(values, tail=tail))
+        deepest = 0
+        for d in reads:
+            assert src.prefix_int(d) == int(ref[:d] or "0", 2)
+            deepest = max(deepest, d)
+            assert src._depth <= deepest  # no read goes past a request
+        assert src.describe() == {"kind": "pattern",
+                                  "runs": f"list={','.join(map(str, values))} tail={tail}"}
+        assert src.exact_value is None
+
     def test_huge_run_is_clamped_to_the_request(self):
         # without the clamp the second block alone would be 2**40 bits
         runs = RunLengths(lambda k: 3 if k == 1 else 1 << 40)
         src = from_run_lengths(runs)
         assert src.interval(64)[0] == Fraction(7, 8)
+        assert src._prefix.bit_length() <= 64
+
+    def test_huge_period_run_is_never_built(self):
+        # the period is the run 2**40 twice: it must not be read whole
+        src = from_run_lengths(RunLengths.from_list([3, 1 << 40]))
+        assert src.prefix_int(64) == 7 << 61
         assert src._prefix.bit_length() <= 64
 
     def test_run_length_extraction_inverts(self):
@@ -185,7 +276,13 @@ class TestDistanceBrackets:
 
     def test_refine_doubles_then_clamps_to_the_cap(self):
         seen = []
-        assert refine(3, 20, seen.append) == (None, 20)
+
+        def settle(d):
+            # an open question at the cap must stop the search, not repeat it
+            assert len(seen) < 10, "refine read past its cap"
+            seen.append(d)
+
+        assert refine(3, 20, settle) == (None, 20)
         assert seen == [3, 6, 12, 20]
         assert refine(3, 20, lambda d: d if d > 5 else None) == (6, 6)
         assert refine(3, 20, lambda d: 0) == (0, 3)
@@ -262,6 +359,36 @@ class TestAffineImages:
         assert out.exact_value == image
         want = from_rational(image.numerator, image.denominator)
         assert digits_of(out, 48) == digits_of(want, 48)
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["pattern", "custom"]),
+           values=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           tail=st.sampled_from(["repeat-last", "cycle", "constant:2"]),
+           seed=st.integers(0, 1 << 32),
+           # about a third of these images leave [0, 1]
+           off=st.tuples(st.integers(-2, 24), st.sampled_from([1, 3, 5]), st.integers(2, 6)),
+           sc=st.tuples(st.integers(1, 24), st.sampled_from([1, 3, 5]), st.integers(2, 6)),
+           reads=st.lists(st.integers(0, 64), min_size=1, max_size=4))
+    # 2/3 * 3/8 = 1/4: a dyadic image, which no prefix settles
+    @example(kind="pattern", values=[1, 1], tail="cycle", seed=0, off=(0, 1, 0),
+             sc=(3, 1, 3), reads=[3])
+    # inside [0, 1], but the image of the depth-3 cell is not
+    @example(kind="pattern", values=[1, 1], tail="cycle", seed=0, off=(1, 1, 1),
+             sc=(45, 1, 6), reads=[40, 2])
+    def test_images_match_digit_by_digit_settle(self, kind, values, tail, seed,
+                                                off, sc, reads):
+        def source():
+            if kind == "pattern":
+                return from_run_lengths(RunLengths.from_list(values, tail=tail))
+            return custom(lambda n: (seed * n * 0x9E3779B97F4A7C15 >> 29) & 1)
+
+        off = Fraction(off[0], off[1] << off[2])
+        sc = Fraction(sc[0], sc[1] << sc[2])
+        image = affine_of_source(off, sc, source())
+        for n in reads:
+            want = outcome(lambda d: affine_reference(off, sc, source(), d), n)
+            assert outcome(image.prefix_int, n) == want
+        assert image.describe() == {"kind": "affine"}
 
     def test_rejects_images_outside_unit_interval(self):
         with pytest.raises(ValueError):
