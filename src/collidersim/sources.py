@@ -1,18 +1,22 @@
 """Unknown masses as lazy binary digit streams.
 
-The simulator never holds "the real number mu"; it holds a source whose
-one job is prefix_int(d): the first d digits of the canonical binary
-expansion of a value in [0, 1] (dyadic values take the terminating form,
-so no stream has an eventually-all-ones tail) as one integer p, which
-pins the value to [p/2^d, (p+1)/2^d).  Exact values and periodic
-patterns read p in closed form, and an affine image settles a whole
-prefix from one read of its source.  Distances derived from a prefix are
-exact rationals, sound whatever the unread tail does, so a timeout
-verdict is issued only once the examined prefix proves the distance too
-small, never from a floating-point shortcut.
+The simulator never holds "the real number mu"; it holds a source that
+can produce any requested digit of the canonical binary expansion of a
+value in [0, 1] (canonical: dyadic values take the terminating form, so
+no stream has an eventually-all-ones tail).  Everything downstream that
+needs to compare a test mass against mu does so through certified
+prefix brackets: after reading d digits the source's value is pinned to
+[p/2^d, (p+1)/2^d), and distances derived from that interval are exact
+rationals that are sound no matter what the unread tail does.  Exact
+values read every prefix in closed form, and periodic patterns do past
+their first period; other sources build a prefix from its digits.
+
+That discipline is what makes timing questions decidable: a timeout
+verdict is issued only once the examined prefix proves the distance is
+too small, never from a floating-point shortcut.
 
 `refine` is the one deepening rule: every certified verdict (an oracle
-answer or timeout, a clock reading, a prefix of an affine image) reads a
+answer or timeout, a clock reading, a digit of an affine image) reads a
 prefix, and doubles its depth until the prefix settles the question or
 a digit horizon is reached.
 """
@@ -20,8 +24,6 @@ a digit horizon is reached.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from math import lcm
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .dyadic import Dyadic, bits_above, to_fraction
@@ -78,8 +80,10 @@ class RunLengths:
     def a(self, k: int) -> int:
         if k < 0:
             raise ValueError("a(k) defined for k >= 0")
+        if k == 0:
+            return 0
         self._extend(k)
-        return self._a[k - 1] if k else 0
+        return self._a[k - 1]
 
     def _extend(self, k: int) -> None:
         while len(self._u) < k:
@@ -95,12 +99,14 @@ class RunLengths:
 
 
 class MassSource:
-    """Base digit stream: its one job is prefix_int.
+    """Base digit stream.
 
-    Exact values (rational, dyadic, stable advice, affine images of these)
-    read every prefix in closed form, as periodic patterns do past one
-    period.  Other sources keep the digits read as one int that _read
-    extends, by default with _block(start, depth): 0/1 digits after `start`.
+    A source holds the digits read so far as one prefix int that _read
+    extends, by default a block at a time through _block, which
+    subclasses implement.  A source whose value is known exactly
+    (rational, dyadic, stable advice, an affine image of these) reads
+    every prefix in closed form instead, and a periodic pattern does past
+    its first period.
     """
 
     kind = "abstract"
@@ -111,6 +117,11 @@ class MassSource:
         self.run_lengths = run_lengths
         self._prefix = 0  # the first _depth digits
         self._depth = 0
+
+    def _block(self, start: int, depth: int) -> str:
+        """The next one or more digits after digit `start`, as a 0/1
+        string, in a read towards `depth`."""
+        raise NotImplementedError
 
     def digit_at(self, n: int) -> int:
         if n < 1:
@@ -129,8 +140,9 @@ class MassSource:
         return self._prefix >> (self._depth - depth)
 
     def _read(self, depth: int) -> tuple[int, int]:
-        """A prefix of `depth` or more digits, with its length: one shift per
-        read, not per block, as a shift per short block is quadratic."""
+        """A prefix of `depth` or more digits, with its length."""
+        # one shift of the prefix per read, not per block: blocks can be
+        # a few digits long, and a shift per block is quadratic in depth
         blocks = []
         n = self._depth
         while n < depth:
@@ -141,7 +153,8 @@ class MassSource:
     def interval(self, depth: int) -> tuple[Fraction, Fraction]:
         """Half-open [lo, hi) of width 2**-depth containing the value."""
         p = self.prefix_int(depth)
-        return Fraction(p, 1 << depth), Fraction(p + 1, 1 << depth)
+        lo = Fraction(p, 1 << depth)
+        return lo, lo + Fraction(1, 1 << depth)
 
     def describe(self) -> dict:
         d = {"kind": self.kind}
@@ -193,10 +206,9 @@ class _PatternSource(MassSource):
 
 
 class _CustomSource(MassSource):
-    kind = "custom"
-
-    def __init__(self, digit_fn: Callable[[int], int]):
+    def __init__(self, digit_fn: Callable[[int], int], kind: str):
         super().__init__()
+        self.kind = kind
         self._fn = digit_fn
 
     def _block(self, start: int, depth: int) -> str:
@@ -205,41 +217,6 @@ class _CustomSource(MassSource):
         if b not in (0, 1):
             raise ValueError(f"digit stream produced {b!r}")
         return "01"[b]
-
-
-class _AffineSource(MassSource):
-    """off + sc * mu for a source mu known only by its digits.  Over a
-    common denominator, off = a/D and sc = b/D, and a depth-d prefix P of
-    mu puts the image in [a 2^d + b P, a 2^d + b P + b) / (D 2^d)."""
-
-    kind = "affine"
-
-    def __init__(self, off: Fraction, sc: Fraction, src: MassSource):
-        super().__init__()
-        D = lcm(off.denominator, sc.denominator)
-        self._a, self._b, self._den, self._src = int(off * D), int(sc * D), D, src
-
-    def _cell(self, d: int) -> int:
-        """Low end of the image from a depth-d prefix, over D 2^d."""
-        lo = (self._a << d) + self._b * self._src.prefix_int(d)
-        if lo < 0 or lo + self._b > self._den << d:
-            raise ValueError("affine image leaves [0, 1]")
-        return lo
-
-    def _read(self, depth: int) -> tuple[int, int]:
-        if not self._depth:   # the widest cell any read checks: refusals are depth-blind
-            self._cell(3)
-
-        def settle(d: int) -> Optional[int]:
-            # both ends in one 2^-depth cell, which the open upper end may close
-            lo, cell = self._cell(d), self._den << (d - depth)
-            return lo // cell if lo % cell + self._b <= cell else None
-
-        p, _ = refine(depth + 2, max(depth + 2, 1 << 20), settle)
-        if p is None:
-            raise RuntimeError("affine digit did not settle within 2**20 source "
-                               "digits; the image may be dyadic")
-        return p, depth
 
 
 def from_dyadic(value) -> MassSource:
@@ -256,11 +233,13 @@ def from_rational(p: int, q: int) -> MassSource:
 
 
 def from_run_lengths(runs) -> MassSource:
-    return _PatternSource(runs if isinstance(runs, RunLengths) else RunLengths.from_list(runs))
+    if not isinstance(runs, RunLengths):
+        runs = RunLengths.from_list(list(runs))
+    return _PatternSource(runs)
 
 
 def custom(digit_fn: Callable[[int], int]) -> MassSource:
-    return _CustomSource(digit_fn)
+    return _CustomSource(digit_fn, "custom")
 
 
 def run_length_blocks(bits: str) -> list[int]:
@@ -268,8 +247,18 @@ def run_length_blocks(bits: str) -> list[int]:
     prefix horizon, so a continuation may always extend it."""
     if not bits or set(bits) - {"0", "1"}:
         raise ValueError("need a nonempty 0/1 prefix")
-    blocks = [len(list(run)) for _, run in groupby(bits)]
-    return [0] + blocks if bits[0] == "0" else blocks   # u_1 counts ones
+    blocks = []
+    current = "1"
+    count = 0
+    for b in bits:
+        if b == current:
+            count += 1
+        else:
+            blocks.append(count)
+            current = b
+            count = 1
+    blocks.append(count)
+    return blocks
 
 
 def refine(depth: int, cap: int,
@@ -373,9 +362,9 @@ def adversarial_mass(budget_fn: Callable[[int], Fraction], K,
 
 def affine_of_source(offset, scale, src: MassSource) -> MassSource:
     """Digits of offset + scale * mu: read from the exact image when mu is
-    known exactly, otherwise refined from integer prefixes of mu.
+    known exactly, otherwise refined from the digits of mu.
 
-    offset and scale are rationals, and the image must stay inside [0, 1].
+    offset and scale must be dyadic and the image must stay inside [0, 1].
     Used to place an encoded parameter inside a fixed-precision window.
     """
     off = to_fraction(offset)
@@ -386,7 +375,26 @@ def affine_of_source(offset, scale, src: MassSource) -> MassSource:
         # a dyadic image of a non-dyadic source sits on a cell boundary
         # that no finite prefix of the source settles
         return _ExactSource(off + sc * src.exact_value, "affine")
-    return _AffineSource(off, sc, src)
+
+    def digit_fn(n: int) -> int:
+        def settle(depth: int) -> Optional[int]:
+            lo, hi = src.interval(depth)
+            a = off + sc * lo
+            b = off + sc * hi
+            if not (0 <= a and b <= 1):
+                raise ValueError("affine image leaves [0, 1]")
+            bit_a = (a.numerator << n) // a.denominator
+            # strict upper endpoint: subtract nothing, compare floor cells
+            bit_b = ((b.numerator << n) - 1) // b.denominator if b > a else bit_a
+            return bit_a & 1 if bit_a == bit_b else None
+
+        bit, _ = refine(n + 2, max(n + 2, 1 << 20), settle)
+        if bit is None:
+            raise RuntimeError("affine digit did not settle within 2**20 source "
+                               "digits; the image may be dyadic")
+        return bit
+
+    return _CustomSource(digit_fn, "affine")
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,6 @@ class TestPublicSurface:
                               "the reference model reads back",
         "AdviceLanguage.contains": "the ground truth that decide_membership is "
                                    "tested against",
-        "MassSource.interval": "the Fraction bracket that perfbench's tracer "
-                               "wraps by name, and test_trace_hooks installs",
     }
 
     def test_every_member_is_read(self):
