@@ -134,21 +134,22 @@ def _config_dict(cfg: OracleConfig) -> dict:
     return block
 
 
+def _write_file(outdir: str, name: str, content) -> bytes:
+    """Write a text, or a dict or list as JSON, as UTF-8 bytes with no
+    newline translation, and return the bytes written."""
+    if isinstance(content, (dict, list)):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    data = content.encode("utf-8")
+    with open(os.path.join(outdir, name), "wb") as fh:
+        fh.write(data)
+    return data
+
+
 def _write_outputs(outdir: str, files: dict, parameters: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
-    hashes = {}
-    for name, content in files.items():
-        if isinstance(content, (dict, list)):
-            text = json.dumps(content, indent=2, sort_keys=True) + "\n"
-        else:
-            text = content
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        hashes[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    manifest = {"parameters": parameters, "files": hashes}
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    hashes = {name: hashlib.sha256(_write_file(outdir, name, content)).hexdigest()
+              for name, content in files.items()}
+    _write_file(outdir, "manifest.json", {"parameters": parameters, "files": hashes})
 
 
 def _transcript_jsonl(oracle: CollisionOracle) -> str:

@@ -21,7 +21,6 @@ polynomially in log of the word length.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -265,4 +264,9 @@ def cost_slope(lengths: Sequence[int], times: Sequence) -> float:
         raise ValueError("need matching samples, at least two")
     xs = [math.log2(n) for n in lengths]
     ys = [math.log2(float(t)) for t in times]
-    return statistics.linear_regression(xs, ys).slope
+    # statistics.linear_regression's sums, without importing statistics
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - xbar) * (x - xbar) for x in xs)
+    if not sxx:
+        raise ValueError("x is constant")
+    return math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx

@@ -236,6 +236,21 @@ def _grid_words(r: int) -> tuple:
     return (*words, "1")
 
 
+def _product_less(xs: tuple, ys: tuple) -> bool:
+    """x1 x2 x3 < y1 y2 y3 for non-negative integer triples xs and ys,
+    read from bit lengths outside their 2-bit band (`_reported_arrival`)."""
+    x1, x2, x3 = xs
+    y1, y2, y3 = ys
+    if x1 and x2 and x3 and y1 and y2 and y3:
+        excess = (x1.bit_length() + x2.bit_length() + x3.bit_length()
+                  - y1.bit_length() - y2.bit_length() - y3.bit_length())
+        if excess < -2:
+            return True
+        if excess > 2:
+            return False
+    return x1 * x2 * x3 < y1 * y2 * y3
+
+
 class CollisionOracle:
     """Stateful query interface around one hidden mass source."""
 
@@ -514,24 +529,36 @@ class CollisionOracle:
         2 bl(b), a lower bound at most 4 under the quotient's bit length:
         as depth_hint >= 8, that is the same doubling or the one before,
         where a settle provably fails.
+
+        A settle's test md (L + beta b) 2**48 < a b, scaled by ld to
+        integers, is read from bit lengths: for positive x and y, bl(x y) is
+        bl(x) + bl(y) - 1 or bl(x) + bl(y), so a product of three positive
+        factors has a bit length from the sum of theirs less 2 to that sum,
+        and `_product_less` forms the two products only when those sums lie
+        within 2 of each other, or a factor is 0.  At the depths the clock
+        reads, the sums lie hundreds of bits apart.
         """
         bits = self._CLOCK_BITS
+        tick = 1 << bits
         mn, md = m_star
         an, bn, ld = self._law_terms
         prefix_int = self.source.prefix_int
 
         def low_law(side: int, a: int, b: int, depth: int) -> int:
-            # ld D law(m*, lo): the cell's low end lo is m + a when m* is
-            # below the cell and m - b when it is above
+            # ld D law(m*, lo): alpha D under protocol timing, beta D (m* + lo)
+            # under kinematic, with D lo = m + a when m* is below the cell
+            # and m - b when it is above
+            if not bn:
+                return an * (md << depth)
             m = mn << depth
-            return an * (md << depth) + bn * (m + (m + a if side < 0 else m - b))
+            return bn * (m + (m + a if side < 0 else m - b))
 
         def settle(depth: int):
             # past the deciding depth the nested cells keep m* and mu apart;
             # latest - earliest = md (L + beta b) / (a b) with L = ln/ld
             side, a, b = prefix_bracket(prefix_int(depth), mn, md, depth)
             ln = low_law(side, a, b, depth)
-            if md * (ln + bn * b) << bits < ld * a * b:
+            if _product_less((md, ln + bn * b, tick), (ld, a, b)):
                 return (ln << bits) // (ld * b)
             return None
 

@@ -364,8 +364,10 @@ def affine_of_source(offset, scale, src: MassSource) -> MassSource:
     """Digits of offset + scale * mu: read from the exact image when mu is
     known exactly, otherwise refined from the digits of mu.
 
-    offset and scale must be dyadic and the image must stay inside [0, 1].
-    Used to place an encoded parameter inside a fixed-precision window.
+    offset and scale must be dyadic and the image must stay inside [0, 1]:
+    a source cell whose image straddles 0 or 1 is read deeper, and one whose
+    image lies wholly outside [0, 1] is refused.  Used to place an encoded
+    parameter inside a fixed-precision window.
     """
     off = to_fraction(offset)
     sc = to_fraction(scale)
@@ -381,8 +383,10 @@ def affine_of_source(offset, scale, src: MassSource) -> MassSource:
             lo, hi = src.interval(depth)
             a = off + sc * lo
             b = off + sc * hi
-            if not (0 <= a and b <= 1):
+            if b < 0 or a > 1:
                 raise ValueError("affine image leaves [0, 1]")
+            if a < 0 or b > 1:
+                return None
             bit_a = (a.numerator << n) // a.denominator
             # strict upper endpoint: subtract nothing, compare floor cells
             bit_b = ((b.numerator << n) - 1) // b.denominator if b > a else bit_a

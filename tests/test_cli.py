@@ -127,8 +127,7 @@ class TestOutputs:
         capsys.readouterr()
         manifest = json.loads(read(outdir / "manifest.json"))
         for name, digest in manifest["files"].items():
-            data = read(outdir / name).encode("utf-8")
-            assert hashlib.sha256(data).hexdigest() == digest
+            assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest
         assert manifest["parameters"]["command"] == "measure"
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):

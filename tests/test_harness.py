@@ -1,7 +1,10 @@
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from collidersim.advice import PrefixFunction, encoded_mass, read_bound
 from collidersim.harness import (AdviceLanguage, MeasurementIncomplete,
@@ -212,3 +215,19 @@ class TestCostSlope:
         lengths = [4, 8, 16, 32, 64]
         times = [Fraction(3) * n ** 6 for n in lengths]
         assert math.isclose(cost_slope(lengths, times), 6.0, abs_tol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(
+        st.tuples(st.integers(1, 1 << 40),
+                  st.fractions(min_value=Fraction(1, 1 << 30), max_value=1 << 60)),
+        min_size=2, max_size=12))
+    def test_matches_statistics_linear_regression(self, samples):
+        lengths, times = zip(*samples)
+        xs = [math.log2(n) for n in lengths]
+        assume(len(set(xs)) > 1)
+        ys = [math.log2(float(t)) for t in times]
+        assert cost_slope(lengths, times) == statistics.linear_regression(xs, ys).slope
+
+    def test_constant_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="x is constant"):
+            cost_slope([8, 8, 8], [1, 2, 3])

@@ -12,7 +12,7 @@ from collidersim import rng
 from collidersim.collision import Outcome
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
                                 PrecisionMode, TimeoutExceeded,
-                                TimeoutReaction, WaitPolicy)
+                                TimeoutReaction, WaitPolicy, _product_less)
 from collidersim.sources import (RunLengths, affine_of_source, custom,
                                  from_dyadic, from_rational, from_run_lengths)
 from collidersim.dyadic import Dyadic, word_to_dyadic
@@ -403,6 +403,16 @@ class TestQueryArgumentChecks:
         assert rec.elapsed == rec.budget == Fraction(1, 2)
         assert rec.probe_depth is None
 
+    def test_a_zero_deadline_times_out_unread(self):
+        # jitter equal to the budget leaves the deadline 0, which no arrival
+        # precedes: the stream times out before its first digit is read
+        read = []
+        stream = custom(lambda n: read.append(n) or n & 1)
+        oracle = CollisionOracle(stream, OracleConfig(N=Fraction(1)))
+        got = oracle._decide((1, 2), Fraction(3, 4), Fraction(3, 4))
+        assert got == (Outcome.TIMEOUT, None, None)
+        assert read == []
+
 
 class TestTimeoutReaction:
     def test_abort_raises_with_record(self):
@@ -749,6 +759,45 @@ class TestClockHorizon:
         assert first == start or (2 * first == start and first >= h)
         assert rec.elapsed == reference_model.clock_reading(
             app, from_run_lengths(runs), m, h, Fraction(0))
+
+
+class TestClockProductComparison:
+    """The clock's bit-length test agrees with the plain product `<`."""
+
+    factor = st.one_of(st.integers(0, 40), st.integers(1, 1 << 90),
+                       st.integers(0, 70).map(lambda e: 1 << e),
+                       st.integers(1, 70).map(lambda e: (1 << e) - 1))
+
+    @settings(max_examples=400, deadline=None)
+    @given(xs=st.tuples(factor, factor, factor), other=st.tuples(factor, factor, factor),
+           delta=st.integers(-2, 2), order=st.permutations(range(3)),
+           regroup=st.booleans())
+    def test_matches_product_comparison(self, xs, other, delta, order, regroup):
+        # a regrouped triple (x1 x2 + delta, x3, 1) has xs's product at delta
+        # 0, and with positive factors its bit-length sum lies within 2 of
+        # xs's: the product branch
+        x1, x2, x3 = xs
+        ys = tuple((max(x1 * x2 + delta, 0), x3, 1)[i] for i in order) if regroup else other
+        for left, right in ((xs, ys), (ys, xs)):
+            want = left[0] * left[1] * left[2] < right[0] * right[1] * right[2]
+            assert _product_less(left, right) is want
+
+    @pytest.mark.parametrize("xs, ys, want", [
+        ((6, 10, 1), (15, 4, 1), False),          # equal products, sums 8 and 8
+        ((15, 4, 1), (6, 10, 1), False),
+        ((7, 7, 7), (4, 8, 8), False),            # sums 9 and 11: 343 > 256
+        ((4, 8, 8), (7, 7, 7), True),             # sums 11 and 9: 256 < 343
+        ((3, 3, 3), (4, 2, 2), False),            # sums 6 and 7: 27 > 16
+        ((0, 1 << 40, 1 << 40), (1, 1, 1), True),  # a zero factor, sums 82 and 3
+        ((1, 1, 1), (1 << 40, 0, 1 << 40), False),
+        ((0, 5, 7), (3, 0, 9), False),            # both products 0
+        ((1, 1, 1), (1, 1, 2), True),             # sums 3 and 4
+        ((1, 1, 1), (1, 2, 2), True),             # sums 3 and 5, at the band's edge
+        ((1, 1, 1), (2, 2, 2), True),             # sums 3 and 6, past it
+        ((2, 2, 2), (1, 1, 1), False),
+    ])
+    def test_ties_and_band_edges(self, xs, ys, want):
+        assert _product_less(xs, ys) is want
 
 
 class TestIntegerDecisionProperty:

@@ -57,11 +57,12 @@ def affine_reference(off, sc, src, depth):
             lo = Fraction(src.prefix_int(d), 1 << d)
             a = off + sc * lo
             b = a + sc / (1 << d)
-            if not (0 <= a and b <= 1):
+            if b < 0 or a > 1:
                 raise ValueError("affine image leaves [0, 1]")
+            # a cell whose image straddles 0 or 1 is read deeper
             bit_a = (a.numerator << n) // a.denominator
             bit_b = ((b.numerator << n) - 1) // b.denominator
-            if bit_a == bit_b:
+            if 0 <= a and b <= 1 and bit_a == bit_b:
                 out = out << 1 | bit_a & 1
                 break
             if d >= cap:
@@ -372,7 +373,8 @@ class TestAffineImages:
     # 2/3 * 3/8 = 1/4: a dyadic image, which no prefix settles
     @example(kind="pattern", values=[1, 1], tail="cycle", seed=0, off=(0, 1, 0),
              sc=(3, 1, 3), reads=[3])
-    # inside [0, 1], but the image of the depth-3 cell is not
+    # 31/32 lies inside [0, 1], the image of the depth-3 cell does not:
+    # read deeper, its fifth digit meets the dyadic horizon
     @example(kind="pattern", values=[1, 1], tail="cycle", seed=0, off=(1, 1, 1),
              sc=(45, 1, 6), reads=[40, 2])
     def test_images_match_digit_by_digit_settle(self, kind, values, tail, seed,
@@ -393,6 +395,16 @@ class TestAffineImages:
     def test_rejects_images_outside_unit_interval(self):
         with pytest.raises(ValueError):
             affine_of_source(Fraction(3, 4), Fraction(1, 2), from_rational(2, 3))
+
+    def test_straddling_cells_are_read_deeper(self):
+        def two_thirds():
+            return from_run_lengths(RunLengths.from_list([1, 1], "cycle"))
+        # 1/2 + 11/16 * 2/3 = 23/24, though the depth-3 cell's image pokes above 1
+        image = affine_of_source(Fraction(1, 2), Fraction(11, 16), two_thirds())
+        assert image.prefix_int(20) == 0b11110101010101010101
+        # 3/4 + 1/2 * 2/3 = 13/12: every deep enough cell's image lies above 1
+        with pytest.raises(ValueError, match=r"affine image leaves \[0, 1\]"):
+            affine_of_source(Fraction(3, 4), Fraction(1, 2), two_thirds()).prefix_int(20)
 
 
 class TestParsing:
