@@ -14,8 +14,7 @@ from .collision import (Outcome, classify_outcome, experiment_time,
                         time_bounds, time_gap_product, uncertainty_product)
 from .dyadic import Dyadic, validate_word, word_to_dyadic
 from .oracle import (BatchRecord, CollisionOracle, ConfigError, OracleConfig,
-                     PrecisionMode, QueryRecord, TimeoutExceeded,
-                     TimeoutReaction, WaitPolicy)
+                     PrecisionMode, QueryRecord, WaitPolicy)
 from .sources import (MassSource, RunLengths, adversarial_mass,
                       affine_of_source, custom, diagonal_run_lengths,
                       distance_bracket, from_dyadic, from_rational,

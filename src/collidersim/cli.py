@@ -29,7 +29,7 @@ from .advice import PrefixFunction, decode_advice, encoded_mass, read_bound
 from .dyadic import fraction_text
 from .harness import embed_parameter, estimate_digits, require_fixed_mode
 from .oracle import (CollisionOracle, ConfigError, OracleConfig, PrecisionMode,
-                     QueryRecord, TimeoutReaction, WaitPolicy)
+                     QueryRecord, WaitPolicy)
 from .procedures import bisection, grid_sweep, parse_schedule
 from .sources import parse_mass_spec, read_input
 
@@ -46,7 +46,6 @@ _MODES = {
 }
 _WAITS = {"interrupt": WaitPolicy.INTERRUPT, "full": WaitPolicy.FULL_BUDGET}
 _JSONL = json.JSONEncoder(sort_keys=True)    # json.dumps would build one per line
-_REACTIONS = {"return": TimeoutReaction.RETURN, "abort": TimeoutReaction.ABORT}
 # Each key of a run's config block, once: the flag that sets it (None: the
 # file alone), its OracleConfig field, and an enum field's choice table.
 # seed leads, so a bad seed is reported before a bad choice.
@@ -59,7 +58,6 @@ _KEYS = {
     "mode": ("mode", "mode", _MODES),
     "epsilon": ("epsilon", "epsilon", None),
     "wait_policy": ("wait", "wait_policy", _WAITS),
-    "timeout_reaction": ("on_timeout", "timeout_reaction", _REACTIONS),
     "c_setup": ("c_setup", "c_setup", None),
     "timing": ("timing", "timing", None),
 }
@@ -259,9 +257,6 @@ def _add_oracle_args(sp, mode: str, wait: str) -> None:
     sp.add_argument("--wait", choices=sorted(_WAITS),
                     help="billing: interrupt at the flag or wait out the budget "
                          f"(default {wait})")
-    sp.add_argument("--on-timeout", dest="on_timeout", choices=sorted(_REACTIONS),
-                    help="whether a timed-out oracle query returns its record or "
-                         "raises; measure records the timeout either way")
     sp.add_argument("--timing", choices=["protocol", "kinematic"],
                     help="arrival law: protocol K/gap or kinematic traversal")
     sp.add_argument("--c-setup", dest="c_setup",

@@ -61,11 +61,6 @@ class WaitPolicy(enum.Enum):
     FULL_BUDGET = "full-budget"  # the clock always runs the whole budget
 
 
-class TimeoutReaction(enum.Enum):
-    RETURN = "return"            # timeouts come back as Outcome.TIMEOUT
-    ABORT = "abort"              # timeouts raise TimeoutExceeded
-
-
 _ERROR_FREE, _ARBITRARY, _FIXED = (PrecisionMode.ERROR_FREE, PrecisionMode.ARBITRARY,
                                    PrecisionMode.FIXED)
 _FULL_BUDGET = WaitPolicy.FULL_BUDGET
@@ -73,14 +68,6 @@ _FULL_BUDGET = WaitPolicy.FULL_BUDGET
 
 class ConfigError(ValueError):
     pass
-
-
-class TimeoutExceeded(RuntimeError):
-    """Raised under TimeoutReaction.ABORT; carries the offending record."""
-
-    def __init__(self, record):
-        super().__init__(f"query {record.index} ({record.word!r}) timed out")
-        self.record = record
 
 
 @dataclass
@@ -98,7 +85,7 @@ class OracleConfig:
        draws are clipped into [0, 1]; the clip can only trigger when the
        tolerance window pokes outside the unit interval, and the
        endpoints themselves carry probability zero.
-    wait_policy/timeout_reaction: accounting and control flow, above.
+    wait_policy: accounting, above.
     c_setup: preparation cost per word digit (longer words take longer
        to set up), billed separately from the waiting time so budget
        arithmetic stays exact.
@@ -112,7 +99,6 @@ class OracleConfig:
     mode: PrecisionMode = PrecisionMode.ERROR_FREE
     epsilon: Optional[Fraction] = None
     wait_policy: WaitPolicy = WaitPolicy.INTERRUPT
-    timeout_reaction: TimeoutReaction = TimeoutReaction.RETURN
     c_setup: Fraction = Fraction(1)
     timing: str = "protocol"
     launch_speed: Fraction = Fraction(1)
@@ -300,11 +286,11 @@ class CollisionOracle:
     def query(self, word: str, budget, epsilon=None, *, _z=None):
         """Run one experiment; append and return its QueryRecord.
 
-        Under TimeoutReaction.ABORT a timeout still appends its record
-        before raising, so aborted transcripts stay complete.  Inside the
-        package a caller that built the word itself may pass its value as
-        _z, a pair (num, 2**exp) of the value `_resolve` would parse from
-        it, reduced or not; the budget and epsilon are checked all the same.
+        A timeout is an answer like the other two: its record comes back.
+        Inside the package a caller that built the word itself may pass its
+        value as _z, a pair (num, 2**exp) of the value `_resolve` would parse
+        from it, reduced or not; the budget and epsilon are checked all the
+        same.
         """
         cfg = self.config
         z, budget, epsilon = self._resolve(word, budget, epsilon, _z)
@@ -319,8 +305,6 @@ class CollisionOracle:
         if cfg.record_hidden:
             record.hidden = {"m_star": Fraction(*m_star), "jitter": jitter}
         self.transcript.append(record)
-        if outcome is _TIMEOUT and cfg.timeout_reaction is TimeoutReaction.ABORT:
-            raise TimeoutExceeded(record)
         return record
 
     def _setup_cost(self, length: int) -> Fraction:
@@ -330,7 +314,7 @@ class CollisionOracle:
 
     def fire_grid(self, r: int, budget: Fraction) -> list:
         """Fire p/2**r for 0 <= p <= 2**r, in order, at one budget; return
-        the records.  A timeout is read past under either reaction.
+        the records.
 
         On an exact target with no jitter, error-free and full-budget
         billed, the mass cutoffs [lo, hi] of the budget decide every
@@ -356,10 +340,7 @@ class CollisionOracle:
         transcript.extend([QueryRecord(i, word, budget, _LESSER, budget, setup)
                            for i, word in enumerate(words[:a], start)])
         for word in words[a:b]:
-            try:
-                self.query(word, budget)
-            except TimeoutExceeded:
-                pass
+            self.query(word, budget)
         above = [QueryRecord(i, word, budget, _GREATER, budget, setup)
                  for i, word in enumerate(words[b:], start + b)]
         if above:    # the word "1" bills one digit of setup

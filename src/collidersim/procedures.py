@@ -19,8 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .collision import Outcome
 from .dyadic import fraction_text, to_fraction
-from .oracle import (CollisionOracle, ConfigError, PrecisionMode,
-                     TimeoutExceeded, WaitPolicy)
+from .oracle import CollisionOracle, ConfigError, PrecisionMode, WaitPolicy
 from .sources import (MassSource, RunLengths, _key_values, diagonal_run_lengths,
                       from_run_lengths, run_length_blocks)
 
@@ -224,10 +223,7 @@ def bisection(oracle: CollisionOracle, n_digits: int, schedule: Schedule) -> Mea
         word = "0" + digits + "1"
         budget = schedule(len(word))
         eps = default_stage_tolerance(stage) if arbitrary else None
-        try:
-            rec = query(word, budget, eps, _z=(2 * num + 1, 1 << stage))
-        except TimeoutExceeded as exc:
-            rec = exc.record
+        rec = query(word, budget, eps, _z=(2 * num + 1, 1 << stage))
         stage_elapsed.append(rec.elapsed)
         if rec.outcome is timeout:
             timed_out_at = stage

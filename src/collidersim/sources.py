@@ -388,8 +388,9 @@ def affine_of_source(offset, scale, src: MassSource) -> MassSource:
             if a < 0 or b > 1:
                 return None
             bit_a = (a.numerator << n) // a.denominator
-            # strict upper endpoint: subtract nothing, compare floor cells
-            bit_b = ((b.numerator << n) - 1) // b.denominator if b > a else bit_a
+            # strict upper endpoint: subtract nothing, compare floor cells;
+            # b > a, as sc > 0 and the cell has width 2**-depth
+            bit_b = ((b.numerator << n) - 1) // b.denominator
             return bit_a & 1 if bit_a == bit_b else None
 
         bit, _ = refine(n + 2, max(n + 2, 1 << 20), settle)

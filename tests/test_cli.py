@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collidersim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TIMEOUT, build_parser, main
-from collidersim.cli import _config_dict, _resolve_config
-from collidersim.oracle import OracleConfig, PrecisionMode, TimeoutReaction, WaitPolicy
+from collidersim.cli import _KEYS, _config_dict, _resolve_config
+from collidersim.oracle import OracleConfig, PrecisionMode, WaitPolicy
 
 
 def read(path):
@@ -93,13 +93,13 @@ class TestMeasure:
         assert code == EXIT_CONFIG
         assert "needs a budget" in capsys.readouterr().err
 
-    def test_abort_reaction_maps_to_timeout_exit(self, capsys):
-        # the measurement loop contains the abort and reports it as an
-        # ordinary incomplete run
-        code = main(["measure", "--mass", "rational:1/3", "--digits", "10",
-                     "--schedule", "exp:k=0", "--on-timeout", "abort"])
-        assert code == EXIT_TIMEOUT
-        assert "timed-out-at-digit:1" in capsys.readouterr().out
+    def test_timeout_flag_is_a_usage_error(self, capsys):
+        # a timeout is an answer that the measurement reads, never a choice
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--mass", "rational:1/3", "--digits", "10",
+                  "--schedule", "exp:k=0", "--on-timeout", "abort"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --on-timeout abort" in capsys.readouterr().err
 
 
 class TestOutputs:
@@ -270,8 +270,10 @@ class TestConfigFile:
         main(base + ["--K", "1"])
         assert "waiting time: 6" in capsys.readouterr().out   # flag wins
 
-    @pytest.mark.parametrize("entry", [{"wait": "full"}, {"seeed": 5}],
-                             ids=["wait", "seeed"])
+    # timeout_reaction: a key of old run directories' config blocks, refused
+    @pytest.mark.parametrize("entry", [{"wait": "full"}, {"seeed": 5},
+                                       {"timeout_reaction": "return"}],
+                             ids=["wait", "seeed", "timeout_reaction"])
     def test_unknown_key_is_config_error(self, entry, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry), encoding="utf-8")
@@ -329,6 +331,43 @@ class TestConfigFile:
         assert main(run + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
         assert read(tmp_path / "b" / "report.json") == report
 
+    BISECT = ["measure", "--mass", "rational:1/3", "--digits", "4", "--schedule", "exp:k=2"]
+    # each config key: a run, and two values of the key that it reads apart
+    SETTINGS = {
+        "seed": (BISECT + ["--mode", "arbitrary"], 0, 1),
+        "K": (BISECT, "1", "2"),
+        "N": (BISECT, "0", "1/16"),
+        "u": (BISECT + ["--timing", "kinematic"], "1", "2"),
+        "r": (BISECT + ["--timing", "kinematic"], "1", "2"),
+        "mode": (BISECT, "errorfree", "arbitrary"),
+        "epsilon": (["estimate", "--mass", "rational:1/3", "--k", "1"], "1/8", "1/16"),
+        "wait_policy": (BISECT, "interrupt", "full"),
+        "c_setup": (BISECT, "1", "2"),
+        "timing": (BISECT, "protocol", "kinematic"),
+    }
+
+    def test_every_setting_changes_a_run(self, tmp_path, capsys):
+        """Each key of the config block moves what its run reports: stdout,
+        the transcript, or the result or estimate of the payload.  The
+        config block itself does not count: a key that moves nothing else
+        is a setting that does nothing."""
+        assert sorted(self.SETTINGS) == sorted(_KEYS)
+        inert = []
+        for key, (argv, *values) in self.SETTINGS.items():
+            name, part = (("report.json", "result") if argv[0] == "measure"
+                          else ("estimate.json", "estimate"))
+            runs = []
+            for n, value in enumerate(values):
+                cfg, out = tmp_path / f"{key}{n}.json", tmp_path / f"{key}{n}"
+                cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+                code = main(argv + ["--config", str(cfg), "--out", str(out)])
+                assert code in (EXIT_OK, EXIT_TIMEOUT), key
+                runs.append((capsys.readouterr().out, read(out / "transcript.jsonl"),
+                             json.loads(read(out / name))[part]))
+            if runs[0] == runs[1]:
+                inert.append(key)
+        assert inert == []
+
     @given(st.data())
     def test_config_block_round_trips(self, data):
         # every setting a run records reads back through --config as itself,
@@ -340,7 +379,6 @@ class TestConfigFile:
         cfg = OracleConfig(
             K=data.draw(positive), N=data.draw(ratio), mode=mode, epsilon=eps,
             wait_policy=data.draw(st.sampled_from(WaitPolicy)),
-            timeout_reaction=data.draw(st.sampled_from(TimeoutReaction)),
             c_setup=data.draw(ratio), timing=data.draw(st.sampled_from(["protocol", "kinematic"])),
             launch_speed=data.draw(positive), flag_distance=data.draw(positive),
             seed=data.draw(st.integers(-(1 << 70), 1 << 70)))
@@ -358,7 +396,6 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, choices", [
         ("mode", "arbitrary, error-free, errorfree, fixed"),
         ("wait_policy", "full, full-budget, interrupt"),
-        ("timeout_reaction", "abort, return"),
     ])
     def test_unknown_choice_names_value_and_choices(self, key, choices, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,13 +1,16 @@
 """Frozen result bytes of a fixed set of CLI runs.
 
 Each case runs `cli.main` in-process with `--out` and compares the sha256
-of every file the run wrote against digests recorded before the L1-L2
-refactor that merged the bracket-deepening loops, the timing law and the
-numeric helpers; the kernel-path `estimate-kernel` case was recorded
-before the optional compiled counting engine was retired, and
-`grid-exact-abort` before the grid sweep summed its simulated time in
-closed form, and `bisection-arbitrary-interrupt` before the probed
-decision, the clock reading and the mass draw went to integers.  Any change to a transcript, report, estimate, advice
+of every file the run wrote against recorded digests.  The transcripts
+were recorded before the L1-L2 refactor that merged the bracket-deepening
+loops, the timing law and the numeric helpers; the kernel-path
+`estimate-kernel` case before the optional compiled counting engine was
+retired, `grid-exact-timeout` before the grid sweep summed its simulated
+time in closed form, and `bisection-arbitrary-interrupt` before the
+probed decision, the clock reading and the mass draw went to integers.
+The report, estimate and manifest digests were recorded again when the
+config block lost the key that chose what a timeout does, the one line
+by which those files moved.  Any change to a transcript, report, estimate, advice
 payload or manifest byte shows up here.  The runs are relative to a
 temporary working directory so no absolute path reaches a result file.
 """
@@ -38,12 +41,11 @@ CASES = {
                                      "--timing", "kinematic", "--seed", "1"],
     "grid": ["measure", "--mass", "pattern:3,2,4", "--procedure", "grid",
              "--level", "5", "--wait", "full", "--seed", "0"],
-    # an exact-target sweep with non-default K and c_setup under abort:
+    # an exact-target sweep with non-default K and c_setup:
     # the grid point 1/16 times out and the sweep reads on past it
-    "grid-exact-abort": ["measure", "--mass", "dyadic:8193/131072",
-                         "--procedure", "grid", "--level", "4", "--wait", "full",
-                         "--K", "3/2", "--c-setup", "2/3",
-                         "--on-timeout", "abort", "--seed", "0"],
+    "grid-exact-timeout": ["measure", "--mass", "dyadic:8193/131072",
+                           "--procedure", "grid", "--level", "4", "--wait", "full",
+                           "--K", "3/2", "--c-setup", "2/3", "--seed", "0"],
     # an embedded pattern parameter has no exact value, so the estimator
     # runs the per-trial engine
     "estimate": ["estimate", "--mass", "pattern:2,1,3", "--k", "1",
@@ -64,92 +66,116 @@ GOLDEN = {
     },
     "bisection-arbitrary-full": {
         "manifest.json":
-            "5d1f4ff7476cd1a80577dc7fb59ef13e7dc7bd3bcf3fba519db727e5199eceec",
+            "d467b4ded9584d1d16c5e2587f3a7bc89c40308619b401024bfd50bec01a3e55",
         "report.json":
-            "5e8ab4e1c153e1765866938ff2d4477ceb84209d5406d5da01215277100c2704",
+            "a81383a96e5e40cedcc8c5ea20fd70ad62409ad2f6941e1285224c38acf3dc89",
         "transcript.jsonl":
             "0db06510d4559444a57e4ce3bf095cd1175736a03fb115eb789318f42ffa36b2",
     },
     "bisection-arbitrary-interrupt": {
         "manifest.json":
-            "b7c8e35b7d21fa482ea405c5205807f6cf961da9e0029e612d0160a3c6bc535d",
+            "6d86ee449bc81e574ebcda11e2a7f41f4417ba059a41f4b3bfda2bc41c661356",
         "report.json":
-            "7464176b7a011b625f8ff22a24e0b06a63b748b81589b3e9a10163eaa601715d",
+            "47779678498b92294339b18ecfe2880bff0a1c7efcc1213a050419ace239f841",
         "transcript.jsonl":
             "55ff003caea4f27e13db56000fe7c2fd0c40c66f47d608b35fe312814d574529",
     },
     "bisection-interrupt": {
         "manifest.json":
-            "06de3c8d7b39a56537f1ab6f4f687abc4d6d4e8637b5802ba3552d1afca9d1cb",
+            "706e5f211d4c35c3e567cceb2aff633ac5fb661103a01f37e1f3646dd9b8f65a",
         "report.json":
-            "432619db0afc1fbec2564e0dc2426edd8ce461de78e8870bd14aacb2b1fec970",
+            "3f35e49b5a717b4ea02a1772da4ab2c7f9fcb2b3e0058cec695e4c8b17bf8843",
         "transcript.jsonl":
             "297836d7b87a1c67b0ce5f1221038735fbac1981dbe0f39bf33a579c7708ee1f",
     },
     "bisection-kinematic": {
         "manifest.json":
-            "deb25d0883a2f554b1c3f6cf326680721173b36c57b32d85432b2a3de09be42e",
+            "96721d0f9c7d9f8f83254045c5bce67dcd1f472f3e5f48b33331a047be6101eb",
         "report.json":
-            "22bd9ce616f72f73ab0c307eb95adb642a975ad62c34887452991dc5f390474e",
+            "c61bd18bd92ffffecf5b5fb8ab4981bea3ac665edcc9eef9261b0eff206e3142",
         "transcript.jsonl":
             "6aa921992f81ed06f6436d12f34ce360b801014a3a6c0f0359da6056565e2ffd",
     },
     "bisection-rational-kinematic": {
         "manifest.json":
-            "b5853621bf806522b54b67731060811d07f78b76daaa319e3c04a691b96a39be",
+            "1577bb867cd484d38ed5d94a8a230e49d9c9400b072834cb77412d7b4b794807",
         "report.json":
-            "663dedd246269f143b0ed21c09581cbff810f1317616d0b176b7e09c2a4b103b",
+            "9ae3f788da35ec9407a4046c08e69d26f899ffe454fe1bd9f1481acdf9827784",
         "transcript.jsonl":
             "4ffb637a47e437abac49b235af466dfd3106cc907d51d9e7c993ba8240e6ec7c",
     },
     "estimate": {
         "estimate.json":
-            "866d48578a0f59441e585944780addca2f25549f6596e57cd6739c114438825a",
+            "946be45624f7f6a08f208c4d909f1656e756acbc10ad1490ce0a3ee563fc4ed6",
         "manifest.json":
-            "809dd32149ae2305551e90a98b615c99b6df2225b662ea62c9687ddf156c4743",
+            "e1afc51de3b65f4a3052ea169f2120b3b3d1c6493202243c3f4d81e076ec194e",
         "transcript.jsonl":
             "2c21f92912e9126fc6277434f8267571bf64de689b8e84e5baaad0e9889db0de",
     },
     "estimate-kernel": {
         "estimate.json":
-            "a84dfd1f505f2101c840aca6a7e2ebfc065e9212493ee2c5a676ff97b47b09d3",
+            "d84a40369f614166dd315aa004fc6d59f3bc8813b80598b2f1c7c52f423f412f",
         "manifest.json":
-            "906704ecd038b62b45e671365d499fa6974e2577dc57321154bd4dbf3cd213f0",
+            "c2ab4b7f0681dfc0ef799c917121ca4d43424839272cf069410b1136fc95717e",
         "transcript.jsonl":
             "c5e4f27c6bfe2167569318bdec3ad85ee061b9d98e2e875dacb10fcf7e70eb96",
     },
     "grid": {
         "manifest.json":
-            "dbd9cda532c179b30997369d79dc4be29adf80951e706e73f84bd45f30cd645d",
+            "77d8fc88585060738feb069faa5c5fa452c0e238b07875c208e147783c950ad2",
         "report.json":
-            "5269bafefa07111efa96c281877d8932a5ca959ccce635e3799a41a955867e31",
+            "394e5d9f08695bba1bac55addee13eca87786877ee50cc7c66294761f1b85627",
         "transcript.jsonl":
             "642e98abf45cf66bb8248b6b34ae8671bbac0a9fb8a0639c07e02177f6bc96db",
     },
-    "grid-exact-abort": {
+    "grid-exact-timeout": {
         "manifest.json":
-            "92090f9aa12529c3b4bbc5a81a3095541707b8fd53421b5b70edcea7271fc886",
+            "40e7c97d2486822fd97b55dacb68f4173db182540166ada2d4d5f65b298b8962",
         "report.json":
-            "e78bb6ac278d7592c4d4f5a00b8f0ec0e03b10b68a5f2367a7f39b489687c24d",
+            "ae515c3c1ed80357a09a9e73b8c50cd1e7e79704f30592bbb9a18fc76ea56349",
         "transcript.jsonl":
             "a524ff6e6e6d9c425a9829e0ee5dc275b226830e6fea2e69f4fcb2ce2221b31c",
     },
 }
 
 
-def _run(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "table.tsv").write_text(
-        "# alphabet=binary\n0\t\n1\t1\n2\t10\n4\t101\n", encoding="utf-8")
+def _digests(name):
+    """The sha256 of each file that case `name` writes, run in the current
+    directory."""
+    with open("table.tsv", "w", encoding="utf-8") as fh:
+        fh.write("# alphabet=binary\n0\t\n1\t1\n2\t10\n4\t101\n")
     main(CASES[name] + ["--out", "out"])
-    capsys.readouterr()
     digests = {}
-    for fname in sorted(os.listdir(tmp_path / "out")):
-        data = (tmp_path / "out" / fname).read_bytes()
-        digests[fname] = hashlib.sha256(data).hexdigest()
+    for fname in sorted(os.listdir("out")):
+        with open(os.path.join("out", fname), "rb") as fh:
+            digests[fname] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output_bytes(name, tmp_path, monkeypatch, capsys):
-    assert _run(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]
+def test_golden_output_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digests(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    # `PYTHONPATH=src python tests/test_golden_outputs.py` prints the current
+    # digests in GOLDEN's layout, to paste over GOLDEN after a deliberate
+    # byte move; the test itself compares against the committed dict
+    import contextlib
+    import io
+    import tempfile
+
+    home = os.getcwd()
+    print("GOLDEN = {")
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()):
+            os.chdir(tmp)
+            found = _digests(case)
+            os.chdir(home)
+        print(f'    "{case}": {{')
+        for fname, digest in found.items():
+            print(f'        "{fname}":\n            "{digest}",')
+        print("    },")
+    print("}")

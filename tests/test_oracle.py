@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from collidersim import rng
 from collidersim.collision import Outcome
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
-                                PrecisionMode, TimeoutExceeded,
-                                TimeoutReaction, WaitPolicy, _product_less)
+                                PrecisionMode, WaitPolicy, _product_less)
 from collidersim.sources import (RunLengths, affine_of_source, custom,
                                  from_dyadic, from_rational, from_run_lengths)
 from collidersim.dyadic import Dyadic, word_to_dyadic
@@ -175,6 +174,21 @@ class TestProbedQueries:
         assert rec.probe_depth == 65
         assert rec.elapsed == 2 ** 64 + extra
 
+    @pytest.mark.parametrize("word, outcome, depth", [("001010001", Outcome.GREATER, 16),
+                                                      ("00101", Outcome.TIMEOUT, 8)],
+                             ids=["hi", "hi_t"])
+    def test_a_cutoff_on_a_cell_end_is_read_as_closed(self, word, outcome, depth):
+        # at budget 16 (K = 1) a mass answers greater past mu + 1/16, and the
+        # first read, depth 8, gives the cell [1/4, 65/256].  The rule reads
+        # the cell as closed.  z = 65/256 + 1/16 is the cutoff hi of its upper
+        # end: the end itself would time out, so the cell is read deeper,
+        # though the stream lies below that end and answers greater.
+        # z = 1/4 + 1/16 is the cutoff hi_t of its lower end: every target
+        # in the cell times out, and the first read settles it.
+        stream = custom(lambda n: int("01000000"[n - 1]) if n <= 8 else n & 1)
+        rec = CollisionOracle(stream).query(word, 16)
+        assert (rec.outcome, rec.probe_depth) == (outcome, depth)
+
     def test_kinematic_probed_agrees_with_exact(self):
         cfg = OracleConfig(timing="kinematic")
         stream = CollisionOracle(third_as_stream(), cfg)
@@ -280,13 +294,12 @@ class TestRecordValues:
     @given(before=st.lists(st.sampled_from(["0", "01", "0011", "1"]), max_size=3),
            r0=st.integers(1, 5), r=st.integers(1, 5), p=st.integers(0, 32),
            place=st.sampled_from(["lo", "hi", "grid"]),
-           ulps=st.sampled_from([-1, 0, 1]), hidden=st.booleans(), abort=st.booleans())
+           ulps=st.sampled_from([-1, 0, 1]), hidden=st.booleans())
     # the word "1" (p = 2**r) sits on the timeout window's edge, then inside it
-    @example(before=["01"], r0=2, r=3, p=8, place="hi", ulps=0, hidden=True, abort=False)
-    @example(before=["01", "1"], r0=2, r=2, p=4, place="grid", ulps=0, hidden=True,
-             abort=True)
+    @example(before=["01"], r0=2, r=3, p=8, place="hi", ulps=0, hidden=True)
+    @example(before=["01", "1"], r0=2, r=2, p=4, place="grid", ulps=0, hidden=True)
     def test_sweep_writes_the_records_query_would(self, before, r0, r, p, place, ulps,
-                                                  hidden, abort):
+                                                  hidden):
         """After earlier records, a sweep appends 2**r + 1 records with
         consecutive indices, equal to those of firing each word through
         `query`, with the same hidden values.  Another oracle sweeps level
@@ -297,24 +310,16 @@ class TestRecordValues:
         g, window = Fraction(p % ((1 << r) + 1), 1 << r), 1 / budget
         mu = g + {"lo": window, "hi": -window, "grid": 0}[place] + Fraction(ulps, 1 << 64)
         assume(0 <= mu <= 1)
-        cfg = OracleConfig(wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=hidden,
-                           timeout_reaction=TimeoutReaction.ABORT if abort
-                           else TimeoutReaction.RETURN)
+        cfg = OracleConfig(wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=hidden)
         oracles = [CollisionOracle(from_rational(mu.numerator, mu.denominator), cfg)
                    for _ in range(2)]
         for oracle in oracles:
             for word in before:
-                try:
-                    oracle.query(word, 10)
-                except TimeoutExceeded:
-                    pass
+                oracle.query(word, 10)
         swept, queried = oracles
         recs = swept.fire_grid(r, budget)
         for q in range(len(recs)):
-            try:
-                queried.query("0" + format(q, f"0{r}b") if q < 1 << r else "1", budget)
-            except TimeoutExceeded:
-                pass
+            queried.query("0" + format(q, f"0{r}b") if q < 1 << r else "1", budget)
         assert [rec.index for rec in recs] == \
             list(range(len(before), len(before) + (1 << r) + 1))
         assert [rec.word for rec in recs] == \
@@ -414,15 +419,7 @@ class TestQueryArgumentChecks:
         assert read == []
 
 
-class TestTimeoutReaction:
-    def test_abort_raises_with_record(self):
-        cfg = OracleConfig(timeout_reaction=TimeoutReaction.ABORT)
-        oracle = CollisionOracle(from_rational(1, 3), cfg)
-        with pytest.raises(TimeoutExceeded) as exc:
-            oracle.query("01", 2)
-        assert exc.value.record.outcome is Outcome.TIMEOUT
-        assert len(oracle.transcript) == 1  # the record landed first
-
+class TestTimeouts:
     def test_return_mode_keeps_going(self):
         oracle = CollisionOracle(from_rational(1, 3))
         rec = oracle.query("01", 2)

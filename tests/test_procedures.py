@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from collidersim.oracle import (CollisionOracle, ConfigError, OracleConfig,
-                                PrecisionMode, TimeoutReaction, WaitPolicy)
+                                PrecisionMode, WaitPolicy)
 from collidersim.procedures import (adversarial_continuation, bisection,
                                     builtin_schedules,
                                     default_stage_tolerance,
@@ -153,13 +153,6 @@ class TestBisection:
         assert report.status() == "timed-out-at-digit:1"
         assert report.digits == ""
 
-    def test_abort_reaction_is_contained(self):
-        cfg = OracleConfig(timeout_reaction=TimeoutReaction.ABORT)
-        oracle = CollisionOracle(from_rational(1, 3), cfg)
-        report = bisection(oracle, 6, schedule_exponential(1, 0))
-        assert report.timed_out_at == 1
-        assert len(oracle.transcript) == 1
-
     def test_rejects_fixed_precision(self):
         cfg = OracleConfig(mode=PrecisionMode.FIXED, epsilon=Fraction(1, 64))
         oracle = CollisionOracle(from_rational(1, 3), cfg)
@@ -296,27 +289,25 @@ class TestGridSweepMatchesReferenceModel:
            c_setup=st.integers(0, 3),
            r=st.integers(1, 8),
            N=st.sampled_from([0, 0, 0, 3]),
-           abort=st.booleans(),
            hidden=st.booleans(),
            place=st.sampled_from(["lo", "hi", "grid"]),
            p=st.integers(0, 256),
            ulps=st.sampled_from([-1, 0, 1]),
            seed=st.integers(0, 2**16))
     @example(timing="protocol", K=(1, 1), c_over_T=Fraction(1), u=1, c_setup=1,
-             r=3, N=0, abort=True, hidden=True, place="lo", p=2, ulps=0, seed=0)
+             r=3, N=0, hidden=True, place="lo", p=2, ulps=0, seed=0)
     @example(timing="protocol", K=(3, 2), c_over_T=Fraction(1), u=1, c_setup=2,
-             r=4, N=0, abort=False, hidden=False, place="hi", p=7, ulps=0, seed=0)
+             r=4, N=0, hidden=False, place="hi", p=7, ulps=0, seed=0)
     @example(timing="kinematic", K=(1, 1), c_over_T=Fraction(1, 2), u=3, c_setup=1,
-             r=3, N=0, abort=True, hidden=True, place="lo", p=3, ulps=0, seed=0)
+             r=3, N=0, hidden=True, place="lo", p=3, ulps=0, seed=0)
     @example(timing="kinematic", K=(2, 1), c_over_T=Fraction(1, 8), u=1, c_setup=1,
-             r=5, N=0, abort=False, hidden=False, place="hi", p=9, ulps=0, seed=0)
+             r=5, N=0, hidden=False, place="hi", p=9, ulps=0, seed=0)
     @example(timing="kinematic", K=(1, 1), c_over_T=Fraction(2), u=1, c_setup=1,
-             r=3, N=0, abort=True, hidden=False, place="grid", p=3, ulps=1, seed=0)
+             r=3, N=0, hidden=False, place="grid", p=3, ulps=1, seed=0)
     @example(timing="kinematic", K=(1, 1), c_over_T=Fraction(1), u=2, c_setup=0,
-             r=2, N=0, abort=False, hidden=True, place="grid", p=1, ulps=-1, seed=0)
+             r=2, N=0, hidden=True, place="grid", p=1, ulps=-1, seed=0)
     def test_grid_sweep_matches_reference_model(self, timing, K, c_over_T, u, c_setup,
-                                                r, N, abort, hidden, place, p, ulps,
-                                                seed):
+                                                r, N, hidden, place, p, ulps, seed):
         Kf = Fraction(*K)
         T = Kf * (1 << (2 * r + 1))
         c = c_over_T * T
@@ -325,9 +316,7 @@ class TestGridSweepMatchesReferenceModel:
         assume(0 <= mu <= 1)
         cfg = OracleConfig(K=Kf, N=Fraction(N, 4), c_setup=c_setup, timing=timing,
                            flag_distance=c * u, launch_speed=Fraction(u), seed=seed,
-                           wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=hidden,
-                           timeout_reaction=TimeoutReaction.ABORT if abort
-                           else TimeoutReaction.RETURN)
+                           wait_policy=WaitPolicy.FULL_BUDGET, record_hidden=hidden)
         app = reference_model.Apparatus(
             K=Kf, N=cfg.N, timing=timing, flag_distance=cfg.flag_distance,
             launch_speed=cfg.launch_speed, interrupt=False, seed=seed,
@@ -406,11 +395,10 @@ class TestClosedFormAccounting:
                    lambda p: from_dyadic(Dyadic(p, e)))),
                st.integers(1, 60).flatmap(lambda q: st.integers(0, q).map(
                    lambda p: from_rational(p, q)))),
-           reaction=st.sampled_from(list(TimeoutReaction)),
            wait=st.sampled_from(list(WaitPolicy)),
            shift=st.integers(0, 4))
     def test_totals_are_the_record_sums(self, r, K, c_setup, extra, target,
-                                        reaction, wait, shift):
+                                        wait, shift):
         schedule = schedule_exponential(K, shift)
         runs = [(lambda o: grid_sweep(o, r), WaitPolicy.FULL_BUDGET),
                 (lambda o: bisection(o, r, schedule), wait)]
@@ -418,7 +406,7 @@ class TestClosedFormAccounting:
             # two live oracles with different setup costs take turns, so a
             # setup cost shared between oracles would show
             oracles = [CollisionOracle(target, OracleConfig(
-                K=K, c_setup=c, wait_policy=policy, timeout_reaction=reaction))
+                K=K, c_setup=c, wait_policy=policy))
                 for c in (c_setup, c_setup + extra)]
             for oracle in oracles + oracles:
                 start, before = len(oracle.transcript), oracle.total_elapsed

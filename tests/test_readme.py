@@ -1,8 +1,10 @@
 import doctest
+import json
 import shlex
 from pathlib import Path
 
-from collidersim.cli import main
+from collidersim.cli import _config_dict, main
+from collidersim.oracle import OracleConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,9 +18,11 @@ def test_readme_examples_run():
 
 
 def test_config_file_example_loads(tmp_path, capsys):
-    # the documented keys are the ones --config reads: an unknown key exits 2
+    # the documented keys are the ones --config reads: an unknown key exits 2,
+    # and the example leaves none of a run's config block out
     section = README.read_text(encoding="utf-8").split("### Config files", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert sorted(json.loads(example)) == sorted(_config_dict(OracleConfig()))
     path = tmp_path / "run.json"
     path.write_text(example, encoding="utf-8")
     code = main(["estimate", "--mass", "rational:1/3", "--k", "1", "--config", str(path)])
